@@ -1,6 +1,7 @@
 # Convenience targets; everything below is plain dune.
 
-.PHONY: all build test smoke batch-smoke bench-farm regir-smoke explore-smoke bench lint clean
+.PHONY: all build test smoke batch-smoke bench-farm regir-smoke explore-smoke \
+	perfbench-smoke bench lint clean
 
 all: build
 
@@ -41,6 +42,23 @@ regir-smoke:
 explore-smoke:
 	rm -rf _explore && dune exec bin/dvrun.exe -- explore atomicity \
 	  --out _explore --expect-failure
+
+# Benchmark oracle gate: run each BENCHMARK.json workload for a short
+# timed pass and fail unless its JSON result (the last line run.py prints)
+# reports every op correct and none failed. A run that errors prints no
+# result, which fails the check too.
+PERFBENCH_WORKLOADS = rr-compute rr-sync cli
+
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 0 \
+	    | tail -n 1 | python3 -c 'import json, sys; \
+	r = json.loads(sys.stdin.read() or "{}"); \
+	ok = r.get("correct") is True and r.get("failed") == 0; \
+	print("perfbench-smoke %s: correct=%s failed=%s attempted=%s" % (sys.argv[1], \
+	  r.get("correct"), r.get("failed"), r.get("attempted"))); \
+	sys.exit(0 if ok else 1)' $$w || exit 1; \
+	done
 
 bench:
 	dune exec bench/main.exe

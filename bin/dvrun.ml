@@ -113,10 +113,10 @@ let run_cmd =
     Term.(const run_live $ name_arg $ seed_arg $ no_regir_arg $ verbose_arg)
 
 (* With --compiled, every method is force-compiled (charging the same
-   virtual-clock cost a run's first visit would) and its post-fusion kinstr
-   stream prints next to the source bytecode: fused superinstruction heads
-   marked [*] with shadowed originals behind them, inline-cache sites
-   marked [ic], injected yield points marked [; yp]. *)
+   virtual-clock cost a run's first visit would) and its compiled kinstr
+   stream prints next to the source bytecode: inline-cache sites marked
+   [ic], injected yield points marked [; yp], then the method's register
+   regions. *)
 let disasm name compiled =
   let e = find_workload name in
   if not compiled then Fmt.pr "%a@." Bytecode.Disasm.pp_program e.program
@@ -136,7 +136,9 @@ let compiled_arg =
   Arg.(
     value & flag
     & info [ "compiled" ]
-        ~doc:"show the post-fusion compiled kinstr stream for each method")
+        ~doc:
+          "show the compiled kinstr stream and register regions for each \
+           method")
 
 let disasm_cmd =
   let doc = "disassemble a workload" in

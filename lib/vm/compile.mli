@@ -11,14 +11,13 @@
     [Rt.rmethod] itself, string loads carry the owning [Rt.rclass], and
     virtual call/spawn sites carry a monomorphic inline cache.
 
-    After verification a fusion pass builds [Rt.compiled.k_fused] — the
-    canonical stream with common 2–4 instruction shapes rewritten as
-    superinstructions in their head slots (shadow slots keep the
-    originals; pc numbering is unchanged). A fused region never spans a
-    branch target, an exception-handler boundary, or a yield point, and
-    [Verify.check_fusion] audits the result. With [cfg.fuse = false],
-    [k_fused == k_code]. See DESIGN.md section 7 for the parity
-    contract. *)
+    After verification, with [cfg.regir] on, [Regir.lower] builds the
+    register-IR region table [Rt.compiled.k_regions] from the canonical
+    stream (pc numbering unchanged; [k_code] stays the stack tier's
+    stream), and [Regir.check] audits it when [cfg.audit] is on. Calls to
+    tiny callees — small, unsynchronized, handler-free, and one
+    straight-line run with no branch — are spliced into the caller's
+    region. See DESIGN.md sections 7 and 10 for the parity contract. *)
 
 exception Error of string
 

@@ -3,13 +3,15 @@
     unwinding, and the yield-point hook through which all thread switching
     happens. See the implementation header for the GC invariants.
 
-    The hook-free fast loop executes the fused stream ([Rt.compiled
-    .k_fused]) — superinstruction handlers that batch their clock ticks
-    through [Env.tick_batch] while preserving instruction counts, PRNG
-    draws, stack writes, and fault points bit-for-bit ({e the parity
-    contract}, DESIGN.md section 7). The observed loop and the single-step
-    [step] path execute the canonical [k_code], which never contains a
-    superinstruction. *)
+    Two tiers execute the same canonical [Rt.compiled.k_code]. The
+    hook-free fast loop enters a register-IR region ([Rt.compiled
+    .k_regions]) wherever one starts and fits in the remaining fuel; its
+    segments batch their clock ticks through [Env.tick_batch] while
+    preserving instruction counts, PRNG draws, stack writes, and fault
+    points bit-for-bit ({e the parity contract}, DESIGN.md section 7).
+    Every other pc — and every instruction of the observed loop and the
+    single-step [step] path — runs on the stack tier, one canonical
+    [dispatch] at a time. *)
 
 exception Fatal of string
 

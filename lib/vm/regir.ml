@@ -7,8 +7,8 @@
    instruction, or terminal (branch / call / return); it is executed by
    [Interp.exec_region] from the fast dispatch loop.
 
-   Parity with the stack tier (DESIGN.md section 7) is preserved the same
-   way the fusion pass preserves it, just at a larger granularity:
+   Parity with the stack tier (DESIGN.md section 7) is preserved by
+   construction:
 
    - canonical pc numbering, branch targets, handler ranges, reference
      maps, and yield-point placement are untouched ([k_code] stays the
@@ -42,7 +42,7 @@ type klass = Pure | Risky | Terminal | Excluded
 (* Pure: cannot fault, allocate, or run hooks — freely reorderable within
    a segment. Risky: segment-final, observable mid-instruction. Terminal:
    region-final control transfer. Everything else (waits, spawns, natives,
-   halts, superinstructions) is excluded and dispatched canonically. *)
+   halts, throws) is excluded and dispatched canonically. *)
 let classify (ins : Rt.cinstr) : klass =
   match ins with
   | KConst _ | KStr _ | KNull | KLoad _ | KStore _ | KDup | KPop | KSwap
@@ -71,8 +71,8 @@ let classify (ins : Rt.cinstr) : klass =
     Terminal
   | _ -> Excluded
 
-(* Same barrier set as the fusion pass: branch targets and exception-
-   handler boundaries. *)
+(* The pcs no region may extend across: branch targets and exception-
+   handler boundaries and entries. *)
 let barriers (code : Rt.cinstr array) (handlers : Rt.rhandler array) =
   let n = Array.length code in
   let barrier = Array.make (n + 1) false in
@@ -448,13 +448,15 @@ let lower_region ~nlocals ~nslots ~inline (code : Rt.cinstr array)
     Some (Array.of_list (List.rev !ops))
   with Abort -> None
 
-(* Greedy region construction, mirroring the fusion pass: walk the code,
-   open a region at every includable pc, extend to the next barrier /
-   excluded instruction / terminal, and keep it when it covers at least
-   two instructions. [inline] is the compiler's tiny-callee predicate: a
-   call it accepts is treated as region-continuing (spliced at run time
-   behind the usual frame push and IC guard) instead of region-final, so
-   hot loops with small helper calls chain region-to-region. *)
+(* Greedy region construction: walk the code, open a region at every
+   includable pc, extend to the next barrier / excluded instruction /
+   terminal, and keep it when it covers at least two instructions; the
+   next region opens right after it, so a call's return continuation
+   starts a region of its own. [inline] is the compiler's tiny-callee
+   predicate: a call it accepts is treated as region-continuing (spliced
+   at run time behind the usual frame push and IC guard) instead of
+   region-final, so hot loops with small helper calls chain
+   region-to-region. *)
 let lower ?(inline = fun (_ : Rt.cinstr) -> None) ~nlocals ~max_stack
     (code : Rt.cinstr array) (handlers : Rt.rhandler array)
     (maps : Rt.refmap array) : Rt.region option array =
@@ -494,12 +496,12 @@ let lower ?(inline = fun (_ : Rt.cinstr) -> None) ~nlocals ~max_stack
 
 (* ------------------------------------------------------------- audit *)
 
-(* Static audit run after lowering (the regir analogue of
-   [Verify.check_fusion]): every region must cover only includable,
-   barrier-free pcs, pay exactly one tick per covered instruction, carry
-   canonical pcs and fault-time sp slots that agree with the reference
-   maps, and agree with [k_code] operand-for-operand — including physical
-   equality of the shared inline-cache cells. *)
+(* Static audit run after lowering when [cfg.audit] is on: every region
+   must cover only includable, barrier-free pcs, pay exactly one tick per
+   covered instruction, carry canonical pcs and fault-time sp slots that
+   agree with the reference maps, and agree with [k_code]
+   operand-for-operand — including physical equality of the shared
+   inline-cache cells. *)
 let check (m : Rt.rmethod) (code : Rt.cinstr array)
     (handlers : Rt.rhandler array) (maps : Rt.refmap array) ~nlocals
     ~max_stack (regions : Rt.region option array) =

@@ -25,8 +25,8 @@ val lower :
   Rt.refmap array ->
   Rt.region option array
 
-(** Static audit of a lowered region table against the canonical code —
-    the regir analogue of [Verify.check_fusion]. Checks extents, tick
+(** Static audit of a lowered region table against the canonical code,
+    run by the compiler when [cfg.audit] is on. Checks extents, tick
     totals, slot bounds, fault-time sp slots against the reference maps,
     operand agreement with [k_code], and physical sharing of inline-cache
     cells. Raises [Error] on any violation. *)

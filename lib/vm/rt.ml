@@ -78,29 +78,6 @@ type cinstr =
   | KHalt
   | KNop
   | KYield (* yield point, injected by the method compiler *)
-  (* Superinstructions, produced only by the fusion pass in Vm.Compile and
-     present only in [k_fused] (never in the canonical [k_code]). Each one
-     occupies the first constituent's slot; the shadow slots behind it keep
-     the original instructions, so pc numbering, branch targets, handler
-     ranges, reference maps, and the source-pc table are untouched and a
-     branch into the middle of a fused region executes the originals. *)
-  | KLdLdBin of int * int * bin (* load i; load j; bin op *)
-  | KLdConstBin of int * int * bin (* load i; const n; bin op *)
-  | KBinIf of bin * cmp * int (* bin op; if cmp target *)
-  | KBinIfz of bin * cmp * int (* bin op; ifz cmp target *)
-  | KLdGetfield of int * int * Bytecode.Instr.ty (* load i; getfield slot *)
-  | KLdStore of int * int (* load i; store j *)
-  | KLdIf of int * cmp * int (* load i; if cmp target *)
-  | KLdIfz of int * cmp * int (* load i; ifz cmp target *)
-  | KLdLdIf of int * int * cmp * int (* load i; load j; if cmp target *)
-  | KLdConstIf of int * int * cmp * int (* load i; const n; if cmp target *)
-  | KLdLdBinIf of int * int * bin * cmp * int
-      (* load i; load j; bin op; if cmp target *)
-  | KLdLdBinIfz of int * int * bin * cmp * int
-      (* load i; load j; bin op; ifz cmp target *)
-  | KLdConstBinSt of int * int * bin * int
-      (* load i; const n; bin op; store j *)
-  | KBinSt of bin * int (* bin op; store j *)
 
 (* Inline cache: one mutable cell per virtual call/spawn site. [ic_cid] /
    [ic_meth] hold the most-recent receiver class and resolved callee (the
@@ -225,12 +202,8 @@ and rhandler = {
 }
 
 and compiled = {
-  k_code : cinstr array; (* canonical stream: verifier, observers, debugger *)
-  k_fused : cinstr array;
-      (* same length and pc numbering as [k_code]; superinstruction heads
-         with original instructions in the shadow slots. Physically equal
-         to [k_code] when fusion is disabled. Only the fast dispatch loop
-         executes it. *)
+  k_code : cinstr array;
+      (* canonical stream: the stack tier, verifier, observers, debugger *)
   k_regions : region option array;
       (* register-IR tier, indexed by entry pc ([None] mid-region or when
          the tier is disabled). Lives inside [compiled] so snapshot
@@ -448,14 +421,13 @@ and config = {
   stack_max : int; (* max thread-stack words *)
   stack_slack : int; (* eager-growth threshold, see DejaVu symmetry *)
   instr_limit : int; (* safety valve; Fatal when exceeded *)
-  fuse : bool; (* superinstruction fusion in the compiler (k_fused) *)
   regir : bool; (* register-IR tier in the compiler (k_regions) *)
   audit : bool;
-      (* re-verify the fused stream and the lowered region table against
-         the canonical code at compile time. A belt-and-braces pass for
-         the test suite: it can only reject compiler bugs, never change
-         behavior, and on sub-millisecond workloads its wall cost rivals
-         the run itself — so production configs leave it off *)
+      (* re-verify the lowered region table against the canonical code at
+         compile time. A belt-and-braces pass for the test suite: it can
+         only reject compiler bugs, never change behavior, and on
+         sub-millisecond workloads its wall cost rivals the run itself —
+         so production configs leave it off *)
   clock : bool;
       (* advance the environment clock per instruction (always true in
          real runs; the bench turns it off to price the clock itself) *)
@@ -550,7 +522,6 @@ let default_config =
     stack_max = 1 lsl 16;
     stack_slack = 48;
     instr_limit = 200_000_000;
-    fuse = true;
     regir = true;
     audit = false;
     clock = true;
@@ -615,57 +586,10 @@ let tag_of_cinstr = function
   | KHalt -> 46
   | KNop -> 47
   | KYield -> 48
-  (* superinstructions never reach observers (the observed loop executes
-     the canonical k_code), but the tags stay total and stable for the
-     disassembler and any future fused-stream tooling *)
-  | KLdLdBin _ -> 53
-  | KLdConstBin _ -> 54
-  | KBinIf _ -> 55
-  | KBinIfz _ -> 56
-  | KLdGetfield _ -> 57
-  | KLdStore _ -> 58
-  | KLdIf _ -> 59
-  | KLdIfz _ -> 60
-  | KLdLdIf _ -> 61
-  | KLdConstIf _ -> 62
-  | KLdLdBinIf _ -> 63
-  | KLdLdBinIfz _ -> 64
-  | KLdConstBinSt _ -> 65
-  | KBinSt _ -> 66
 
-(* Number of canonical-stream slots a fused-stream instruction covers. *)
-let width_of_cinstr = function
-  | KLdLdBinIf _ | KLdLdBinIfz _ | KLdConstBinSt _ -> 4
-  | KLdLdBin _ | KLdConstBin _ | KLdLdIf _ | KLdConstIf _ -> 3
-  | KBinIf _ | KBinIfz _ | KLdGetfield _ | KLdStore _ | KLdIf _ | KLdIfz _
-  | KBinSt _ -> 2
-  | _ -> 1
-
-(* The canonical instructions a superinstruction stands for, in execution
-   order; [None] for ordinary instructions. [Verify.check_fusion] compares
-   this expansion against the shadow slots, and the disassembler prints it. *)
-let constituents_of_cinstr = function
-  | KLdLdBin (i, j, op) -> Some [| KLoad i; KLoad j; KBin op |]
-  | KLdConstBin (i, n, op) -> Some [| KLoad i; KConst n; KBin op |]
-  | KBinIf (op, c, t) -> Some [| KBin op; KIf (c, t) |]
-  | KBinIfz (op, c, t) -> Some [| KBin op; KIfz (c, t) |]
-  | KLdGetfield (i, slot, ty) -> Some [| KLoad i; KGetfield (slot, ty) |]
-  | KLdStore (i, j) -> Some [| KLoad i; KStore j |]
-  | KLdIf (i, c, t) -> Some [| KLoad i; KIf (c, t) |]
-  | KLdIfz (i, c, t) -> Some [| KLoad i; KIfz (c, t) |]
-  | KLdLdIf (i, j, c, t) -> Some [| KLoad i; KLoad j; KIf (c, t) |]
-  | KLdConstIf (i, n, c, t) -> Some [| KLoad i; KConst n; KIf (c, t) |]
-  | KLdLdBinIf (i, j, op, c, t) ->
-    Some [| KLoad i; KLoad j; KBin op; KIf (c, t) |]
-  | KLdLdBinIfz (i, j, op, c, t) ->
-    Some [| KLoad i; KLoad j; KBin op; KIfz (c, t) |]
-  | KLdConstBinSt (i, n, op, j) ->
-    Some [| KLoad i; KConst n; KBin op; KStore j |]
-  | KBinSt (op, j) -> Some [| KBin op; KStore j |]
-  | _ -> None
-
-(* Branch target carried by a canonical instruction, if any — the fusion
-   pass uses this to find the barriers no fused region may span. *)
+(* Branch target carried by a canonical instruction, if any — the
+   register-IR lowering uses this to find the barriers no region may
+   span. *)
 let target_of_cinstr = function
   | KIf (_, t) | KIfz (_, t) | KIfnull t | KIfnonnull t | KIfrefeq t
   | KIfrefne t | KGoto t ->

@@ -90,67 +90,6 @@ let test_fast_recorded_trace_matches () =
         obs_run.Dejavu.obs_count replayed.Dejavu.obs_count)
     (all ())
 
-(* Fused vs unfused compilation: [cfg.fuse] only decides whether the
-   executed stream (k_fused) carries superinstructions; every observable —
-   status, output, state digest, instruction count, event sequence, and
-   recorded trace bytes — must be identical across the whole catalogue,
-   and traces recorded under one setting must replay under the other. *)
-let unfused = { Vm.Rt.default_config with Vm.Rt.fuse = false }
-
-let test_fused_vs_unfused_live () =
-  List.iter
-    (fun (e : Workloads.Registry.entry) ->
-      List.iter
-        (fun seed ->
-          let f, f_st = run ~natives:e.natives ~seed e.program in
-          let u, u_st = run ~config:unfused ~natives:e.natives ~seed e.program in
-          let ctx = Fmt.str "%s/%d" e.name seed in
-          Alcotest.check status_testable (ctx ^ " status") u_st f_st;
-          Alcotest.(check string) (ctx ^ " output") (Vm.output u) (Vm.output f);
-          Alcotest.(check int) (ctx ^ " state digest") (Vm.digest u)
-            (Vm.digest f);
-          Alcotest.(check int)
-            (ctx ^ " instruction count")
-            (Vm.stats u).n_instr (Vm.stats f).n_instr)
-        [ 1; 3 ])
-    (all ())
-
-let test_fused_vs_unfused_traces () =
-  List.iter
-    (fun (e : Workloads.Registry.entry) ->
-      let fr, ft = Dejavu.record ~natives:e.natives ~seed:1 e.program in
-      let ur, ut =
-        Dejavu.record ~config:unfused ~natives:e.natives ~seed:1 e.program
-      in
-      Alcotest.(check string)
-        (e.name ^ " trace bytes")
-        (Dejavu.Trace.to_bytes ut) (Dejavu.Trace.to_bytes ft);
-      Alcotest.(check int) (e.name ^ " event digest") ur.Dejavu.obs_digest
-        fr.Dejavu.obs_digest;
-      Alcotest.(check int) (e.name ^ " event count") ur.Dejavu.obs_count
-        fr.Dejavu.obs_count;
-      (* cross-replay: a trace recorded fused replays unfused, and back *)
-      let rep_u, left_u =
-        Dejavu.replay ~config:unfused ~natives:e.natives e.program ft
-      in
-      Alcotest.(check (list string))
-        (e.name ^ " fused->unfused consumed")
-        [] left_u;
-      Alcotest.(check int)
-        (e.name ^ " fused->unfused events")
-        fr.Dejavu.obs_digest rep_u.Dejavu.obs_digest;
-      let rep_f, left_f = Dejavu.replay ~natives:e.natives e.program ut in
-      Alcotest.(check (list string))
-        (e.name ^ " unfused->fused consumed")
-        [] left_f;
-      Alcotest.(check int)
-        (e.name ^ " unfused->fused events")
-        ur.Dejavu.obs_digest rep_f.Dejavu.obs_digest;
-      Alcotest.(check int)
-        (e.name ^ " replay state digest")
-        rep_u.Dejavu.state_digest rep_f.Dejavu.state_digest)
-    (all ())
-
 (* Register tier vs stack tier: [cfg.regir] only decides whether verified
    methods additionally carry register-IR regions and whether the fast
    loop dispatches into them; every observable — status, output, state
@@ -362,6 +301,79 @@ let test_tiny_callee_inlined () =
     rr.Dejavu.state_digest;
   Alcotest.(check int) "event digest" sr.Dejavu.obs_digest rr.Dejavu.obs_digest
 
+(* The splice predicate must be exact, not merely safe: a call the
+   lowering treats as spliceable but whose callee can never splice (its
+   region 0 does not cover the whole body — a loop, a conditional) exits
+   the caller's region at the call, and the return continuation then runs
+   mid-region on the stack tier. After running every registry workload
+   (plus the directed tiny-callee program, so the check is never vacuous),
+   every inline site's callee must be compiled to one whole-body region.
+   racy-counter's hot loop calls such a helper (the [spin] loop), so its
+   coverage is pinned too, as an exact instruction-count ratio. *)
+let inline_sites (vm : Vm.Rt.t) =
+  Array.fold_left
+    (fun acc (m : Vm.Rt.rmethod) ->
+      match m.rm_compiled with
+      | None -> acc
+      | Some c ->
+        Array.fold_left
+          (fun acc r ->
+            match r with
+            | None -> acc
+            | Some (r : Vm.Rt.region) ->
+              Array.fold_left
+                (fun acc op ->
+                  match op with
+                  | Vm.Rt.RInlineStatic (callee, pc, _) ->
+                    (m, pc, callee) :: acc
+                  | Vm.Rt.RInlineVirtual (_, _, ic, pc, _) ->
+                    (m, pc, ic.Vm.Rt.ic_meth) :: acc
+                  | _ -> acc)
+                acc r.Vm.Rt.r_ops)
+          acc c.k_regions)
+    [] vm.Vm.Rt.methods
+
+let test_inline_sites_splice () =
+  let programs =
+    ("tiny-call", [], tiny_call_prog 100)
+    :: List.map
+         (fun (e : Workloads.Registry.entry) -> (e.name, e.natives, e.program))
+         (all ())
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun (name, natives, program) ->
+      let vm, _ = run ~natives ~seed:1 program in
+      List.iter
+        (fun ((m : Vm.Rt.rmethod), pc, (callee : Vm.Rt.rmethod)) ->
+          let ctx =
+            Fmt.str "%s: %s@%d -> %s" name m.rm_name pc callee.rm_name
+          in
+          match callee.rm_compiled with
+          | None -> Alcotest.failf "%s: callee never compiled" ctx
+          | Some kc ->
+            incr checked;
+            let whole =
+              match kc.k_regions.(0) with
+              | Some r -> r.r_n = Array.length kc.k_code
+              | None -> false
+            in
+            Alcotest.(check bool) (ctx ^ " whole-body region") true whole)
+        (inline_sites vm))
+    programs;
+  Alcotest.(check bool) "some inline site checked" true (!checked > 0);
+  let e =
+    match Workloads.Registry.find "racy-counter" with
+    | Some e -> e
+    | None -> Alcotest.fail "racy-counter workload missing"
+  in
+  let vm, _ = run ~natives:e.natives ~seed:1 e.program in
+  let s = Vm.stats vm in
+  let coverage = float s.n_regir_instr /. float s.n_instr in
+  if coverage < 0.9 then
+    Alcotest.failf "racy-counter regir coverage %d/%d = %.3f < 0.9"
+      s.n_regir_instr s.n_instr coverage
+
 (* Interrupts arriving mid-region at a monitor op: a tiny timer quantum
    lands preemption requests on monitorenter/monitorexit constantly, so
    the region fast path's continue-only-while-running guard is exercised
@@ -513,17 +525,13 @@ let () =
           quick "roundtrip digests (observed)" test_roundtrip_digests_observed;
           quick "fast-recorded trace matches" test_fast_recorded_trace_matches;
         ] );
-      ( "fusion",
-        [
-          quick "fused vs unfused live" test_fused_vs_unfused_live;
-          quick "fused vs unfused traces" test_fused_vs_unfused_traces;
-        ] );
       ( "regir",
         [
           quick "register vs stack live" test_regir_vs_stack_live;
           quick "register vs stack traces" test_regir_vs_stack_traces;
           quick "poly-IC transition mid-trace" test_poly_ic_transition;
           quick "tiny callee inlined into region" test_tiny_callee_inlined;
+          quick "inline sites splice whole callees" test_inline_sites_splice;
           quick "interrupt at a monitor op mid-region"
             test_interrupt_at_monitor_op;
         ] );
