@@ -31,7 +31,9 @@ bench-farm:
 # Register-tier gate: record every registry workload with the register-IR
 # compile tier on and off and fail unless trace bytes, state digests,
 # event digests, and observer counts are identical — the tier is a pure
-# perf optimisation and must be invisible to replay.
+# perf optimisation and must be invisible to replay. The register tier
+# folds the event digest once per region segment and the stack tier once
+# per instruction, so this also gates region-fold parity.
 regir-smoke:
 	dune exec bench/main.exe -- regir-smoke
 

@@ -153,9 +153,9 @@ let overhead_workloads =
 
 (* Measure one workload's live / record / replay rates. Record and replay
    run WITHOUT the event-sequence digest observer: it is a verification
-   artifact (a per-instruction hash fold) rather than part of the replay
-   instrumentation, so including it would overstate the overhead the paper
-   talks about. [reps] runs are taken and the fastest kept. *)
+   artifact (a hash fold per region segment or stack-tier instruction)
+   rather than part of the replay instrumentation, so including it would
+   overstate the overhead the paper talks about. [reps] runs are taken and the fastest kept. *)
 let measure_modes ?(reps = 9) ~natives ~program () =
   (* one untimed run first: a program's first execution in this process
      pays page faults, allocator growth, and cold branch history — up to
@@ -659,7 +659,10 @@ let farm_smoke () =
    identical state digests, and identical event sequences vs the stack
    tier, across the whole registry — and it must pay for itself: any
    workload long enough to time reliably (>= 200k instructions) must run
-   at >= 0.95x of the stack tier's live throughput. The monitor-heavy
+   at >= 0.95x of the stack tier's live throughput. The recordings carry
+   the event digest, which the register tier folds once per region
+   segment and the stack tier once per instruction, so the event-digest
+   comparison also gates region-fold parity. The monitor-heavy
    workloads additionally cross-replay: a trace recorded under one tier
    must replay to the same digests under the other. *)
 let regir_smoke () =

@@ -42,8 +42,11 @@ let finish_run vm session observer =
 
 (* Run a program in record mode. The environment (seed) supplies the
    non-determinism being captured. [observe] attaches the event-sequence
-   digest observer the roundtrip check compares; it costs a per-instruction
-   hash fold, so overhead measurements turn it off. *)
+   digest observer the roundtrip check compares. It installs no hook: the
+   VM folds the digest itself, once per register-region segment and once
+   per stack-tier instruction, so the run stays on the fast loop and the
+   cost is a few multiplies per segment. Overhead measurements that want
+   the recording instrumentation alone turn it off. *)
 let record ?(config = Vm.Rt.default_config) ?(natives = []) ?(inputs = [])
     ?(seed = 1) ?limit ?(observe = true) program : run * Trace.t =
   let config =

@@ -710,57 +710,75 @@ let clock_batch (vm : Rt.t) n =
    continues — but the hook may have grown this thread's stack or run a
    collection even without switching (a same-thread re-pick still runs
    the instrumentation's eager stack growth), so the heap/base caches are
-   recomputed unconditionally. *)
+   recomputed unconditionally.
+
+   An inline splice runs the callee's region as a nested [exec_region]
+   call, one OCaml frame per spliced guest frame. A recursive callee would
+   nest one per guest recursion level, so splicing stops at
+   [max_splice_depth]: a deeper call leaves the callee frame pushed and
+   bails to the outer loop, which resumes it canonically.
+
+   With the event digest on ([Rt.t.ev_on]), each [RTick] also folds its
+   segment's events — same thread, same method, consecutive pcs — in O(1)
+   from the constants the lowering stored in it. Folding before the
+   segment's effects matches the per-instruction paths, which fold each
+   event before dispatching it: an op that faults or bails has had its
+   event counted, exactly as canonically. *)
+let max_splice_depth = 16
+
 let rec exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
-    (regions : Rt.region option array) ~fuel executed =
-  let rec run_region (r : Rt.region) =
-    let ops = r.Rt.r_ops in
-    let nops = Array.length ops in
-    (* sp value for a slot index; constant across the region (no frame
-       push/pop until a terminal ends it) *)
-    let fbase = t.t_fp + Rt.frame_header_words in
-    (* Tail-recursive so the heap array and absolute slot base stay in
-       registers — no refs or closures on this path (no flambda). The two
-       allocating ops re-enter with fresh [heap]/[base] parameters; heap
-       hooks never allocate in the guest heap, so they keep the cache. *)
-    let rec go i (heap : int array) base =
-    if i < nops then
+    (regions : Rt.region option array) ~fuel ~depth executed =
+  (* the event digest's per-frame key: every event of this region chain
+     has this thread and method *)
+  let kf = if vm.ev_on then Rt.ev_key_frame t.tid t.t_meth.uid else 0 in
+  (* sp value for a slot index; constant across the whole chain (no
+     frame push/pop until a terminal ends a region, and chaining never
+     leaves this frame) *)
+  let fbase = t.t_fp + Rt.frame_header_words in
+  (* Tail-recursive so the op array, heap array and absolute slot base
+     stay in registers — no refs on this path, and one closure per
+     [exec_region] call rather than per chained region (no flambda). The
+     two allocating ops re-enter with fresh [heap]/[base] parameters; heap
+     hooks never allocate in the guest heap, so they keep the cache. *)
+  let rec go (ops : Rt.rop array) i (heap : int array) base =
+    if i < Array.length ops then
       match Array.unsafe_get ops i with
-      | Rt.RTick n ->
+      | Rt.RTick { n; mn; sn; kc } ->
         executed := !executed + n;
+        if vm.ev_on then vm.ev_h <- (vm.ev_h * mn) + (kf * sn) + kc;
         clock_batch vm n;
-        go (i + 1) heap base
+        go ops (i + 1) heap base
       | Rt.RConst (d, v) ->
         Array.unsafe_set heap (base + d) v;
-        go (i + 1) heap base
+        go ops (i + 1) heap base
       | Rt.RMove (d, s) ->
         Array.unsafe_set heap (base + d) (Array.unsafe_get heap (base + s));
-        go (i + 1) heap base
+        go ops (i + 1) heap base
       | Rt.RStr (d, owner, idx) ->
         Array.unsafe_set heap (base + d) owner.Rt.rc_strings.(idx);
-        go (i + 1) heap base
+        go ops (i + 1) heap base
       | Rt.RBin (op, d, a, b) ->
         Array.unsafe_set heap (base + d)
           (binop op
              (Array.unsafe_get heap (base + a))
              (Array.unsafe_get heap (base + b)));
-        go (i + 1) heap base
+        go ops (i + 1) heap base
       | Rt.RBinC (op, d, a, c) ->
         Array.unsafe_set heap (base + d)
           (binop op (Array.unsafe_get heap (base + a)) c);
-        go (i + 1) heap base
+        go ops (i + 1) heap base
       | Rt.RBinCL (op, d, c, b) ->
         Array.unsafe_set heap (base + d)
           (binop op c (Array.unsafe_get heap (base + b)));
-        go (i + 1) heap base
+        go ops (i + 1) heap base
       | Rt.RNeg (d, s) ->
         Array.unsafe_set heap (base + d) (-Array.unsafe_get heap (base + s));
-        go (i + 1) heap base
+        go ops (i + 1) heap base
       | Rt.RSwapMem (a, b) ->
         let x = Array.unsafe_get heap (base + a) in
         Array.unsafe_set heap (base + a) (Array.unsafe_get heap (base + b));
         Array.unsafe_set heap (base + b) x;
-        go (i + 1) heap base
+        go ops (i + 1) heap base
       | Rt.RInstanceof (d, cid, s) ->
         let obj = Array.unsafe_get heap (base + s) in
         Array.unsafe_set heap (base + d)
@@ -769,19 +787,19 @@ let rec exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
              && Rt.is_subclass vm ~sub:(Layout.class_of vm obj) ~sup:cid
            then 1
            else 0);
-        go (i + 1) heap base
+        go ops (i + 1) heap base
       | Rt.RPrint s ->
         Buffer.add_string vm.output
           (string_of_int (Array.unsafe_get heap (base + s)));
         Buffer.add_char vm.output '\n';
-        go (i + 1) heap base
+        go ops (i + 1) heap base
       | Rt.RDivRem (op, pc, d) ->
         t.t_pc <- pc;
         t.t_sp <- fbase + d;
         let b = Array.unsafe_get heap (base + d + 1) in
         Array.unsafe_set heap (base + d)
           (binop op (Array.unsafe_get heap (base + d)) b);
-        go (i + 1) heap base
+        go ops (i + 1) heap base
       | Rt.RGetfield (slot, pc, os) ->
         t.t_pc <- pc;
         t.t_sp <- fbase + os;
@@ -789,7 +807,7 @@ let rec exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
         check_null obj;
         (match vm.hooks.h_heap_read with Some f -> f vm obj slot | None -> ());
         Array.unsafe_set heap (base + os) vm.heap.(obj + slot);
-        go (i + 1) heap base
+        go ops (i + 1) heap base
       | Rt.RPutfield (slot, pc, os) ->
         t.t_pc <- pc;
         t.t_sp <- fbase + os;
@@ -798,7 +816,7 @@ let rec exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
         check_null obj;
         (match vm.hooks.h_heap_write with Some f -> f vm obj slot | None -> ());
         vm.heap.(obj + slot) <- v;
-        go (i + 1) heap base
+        go ops (i + 1) heap base
       | Rt.RGetstatic (cid, g, pc, d) ->
         t.t_pc <- pc;
         t.t_sp <- fbase + d;
@@ -806,7 +824,7 @@ let rec exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
         if ensure_initialized vm cid then begin
           (match vm.hooks.h_heap_read with Some f -> f vm (-1) g | None -> ());
           Array.unsafe_set heap (base + d) vm.globals.(g);
-          go (i + 1) heap base
+          go ops (i + 1) heap base
         end
       | Rt.RPutstatic (cid, g, pc, vs) ->
         t.t_pc <- pc;
@@ -818,7 +836,7 @@ let rec exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
           | Some f -> f vm (-1) g
           | None -> ());
           vm.globals.(g) <- v;
-          go (i + 1) heap base
+          go ops (i + 1) heap base
         end
       | Rt.RNewobj (cid, pc, d) ->
         t.t_pc <- pc;
@@ -828,7 +846,7 @@ let rec exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
           let heap = vm.heap in
           let base = t.t_stack + Layout.header_words + fbase in
           Array.unsafe_set heap (base + d) addr;
-          go (i + 1) heap base
+          go ops (i + 1) heap base
         end
       | Rt.RNewarray (elem_ref, pc, ls) ->
         t.t_pc <- pc;
@@ -839,7 +857,7 @@ let rec exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
         let heap = vm.heap in
         let base = t.t_stack + Layout.header_words + fbase in
         Array.unsafe_set heap (base + ls) addr;
-        go (i + 1) heap base
+        go ops (i + 1) heap base
       | Rt.RAload (pc, a) ->
         t.t_pc <- pc;
         t.t_sp <- fbase + a;
@@ -851,7 +869,7 @@ let rec exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
         | Some f -> f vm arr (Layout.header_words + idx)
         | None -> ());
         Array.unsafe_set heap (base + a) (Layout.get vm arr idx);
-        go (i + 1) heap base
+        go ops (i + 1) heap base
       | Rt.RAstore (pc, a) ->
         t.t_pc <- pc;
         t.t_sp <- fbase + a;
@@ -864,14 +882,14 @@ let rec exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
         | Some f -> f vm arr (Layout.header_words + idx)
         | None -> ());
         Layout.set vm arr idx v;
-        go (i + 1) heap base
+        go ops (i + 1) heap base
       | Rt.RArraylength (pc, a) ->
         t.t_pc <- pc;
         t.t_sp <- fbase + a;
         let arr = Array.unsafe_get heap (base + a) in
         check_null arr;
         Array.unsafe_set heap (base + a) (Layout.len_of vm arr);
-        go (i + 1) heap base
+        go ops (i + 1) heap base
       | Rt.RCheckcast (cid, pc, o) ->
         t.t_pc <- pc;
         t.t_sp <- fbase + o + 1;
@@ -880,14 +898,14 @@ let rec exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
           obj <> 0
           && not (Rt.is_subclass vm ~sub:(Layout.class_of vm obj) ~sup:cid)
         then raise (Rt.Vm_exception "ClassCastException");
-        go (i + 1) heap base
+        go ops (i + 1) heap base
       | Rt.RPrints (pc, s) ->
         t.t_pc <- pc;
         t.t_sp <- fbase + s;
         let v = Array.unsafe_get heap (base + s) in
         check_null v;
         Buffer.add_string vm.output (Layout.string_value vm v);
-        go (i + 1) heap base
+        go ops (i + 1) heap base
       | Rt.RYield (npc, ss) ->
         vm.stats.n_yield <- vm.stats.n_yield + 1;
         t.t_pc <- npc;
@@ -895,7 +913,7 @@ let rec exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
         vm.hooks.h_yieldpoint vm;
         (match vm.status with
         | Rt.Running_ when vm.current = t.tid ->
-          go (i + 1) vm.heap (t.t_stack + Layout.header_words + fbase)
+          go ops (i + 1) vm.heap (t.t_stack + Layout.header_words + fbase)
         | _ -> ())
       | Rt.RMonEnter (npc, os) ->
         (* canonical order: null check faults at the monitorenter pc with
@@ -912,7 +930,7 @@ let rec exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
         Sched.monitor_enter vm obj;
         (match vm.status with
         | Rt.Running_ when vm.current = t.tid ->
-          go (i + 1) vm.heap (t.t_stack + Layout.header_words + fbase)
+          go ops (i + 1) vm.heap (t.t_stack + Layout.header_words + fbase)
         | _ -> ())
       | Rt.RMonExit (npc, os) ->
         (* release may raise IllegalMonitorState (canonical frames are in
@@ -925,7 +943,7 @@ let rec exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
         vm.stats.n_regir_mon <- vm.stats.n_regir_mon + 1;
         Sched.monitor_exit vm obj;
         t.t_pc <- npc;
-        go (i + 1) vm.heap (t.t_stack + Layout.header_words + fbase)
+        go ops (i + 1) vm.heap (t.t_stack + Layout.header_words + fbase)
       | Rt.RInlineStatic (callee, pc, ss) ->
         t.t_pc <- pc;
         t.t_sp <- fbase + ss;
@@ -936,9 +954,11 @@ let rec exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
           (match kc.Rt.k_regions.(0) with
           | Some rc
             when rc.Rt.r_n = Array.length kc.Rt.k_code
-                 && fuel - !executed >= rc.Rt.r_n ->
+                 && fuel - !executed >= rc.Rt.r_n
+                 && depth < max_splice_depth ->
             vm.stats.n_regir_inline <- vm.stats.n_regir_inline + 1;
-            exec_region vm t rc kc.Rt.k_regions ~fuel executed
+            exec_region vm t rc kc.Rt.k_regions ~fuel ~depth:(depth + 1)
+              executed
           | _ -> ());
           (* continue the caller's region only when the callee fully
              returned into exactly the frame this region runs in; any
@@ -950,7 +970,7 @@ let rec exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
             && t.t_meth == caller
             && t.t_pc = pc + 1
             && t.t_fp + Rt.frame_header_words = fbase
-          then go (i + 1) vm.heap (t.t_stack + Layout.header_words + fbase)
+          then go ops (i + 1) vm.heap (t.t_stack + Layout.header_words + fbase)
         end
       | Rt.RInlineVirtual (vslot, nargs, ic, pc, ss) ->
         t.t_pc <- pc;
@@ -965,9 +985,11 @@ let rec exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
         (match kc.Rt.k_regions.(0) with
         | Some rc
           when rc.Rt.r_n = Array.length kc.Rt.k_code
-               && fuel - !executed >= rc.Rt.r_n ->
+               && fuel - !executed >= rc.Rt.r_n
+               && depth < max_splice_depth ->
           vm.stats.n_regir_inline <- vm.stats.n_regir_inline + 1;
-          exec_region vm t rc kc.Rt.k_regions ~fuel executed
+          exec_region vm t rc kc.Rt.k_regions ~fuel ~depth:(depth + 1)
+            executed
         | _ -> ());
         if
           vm.status = Rt.Running_
@@ -975,7 +997,7 @@ let rec exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
           && t.t_meth == caller
           && t.t_pc = pc + 1
           && t.t_fp + Rt.frame_header_words = fbase
-        then go (i + 1) vm.heap (t.t_stack + Layout.header_words + fbase)
+        then go ops (i + 1) vm.heap (t.t_stack + Layout.header_words + fbase)
       | Rt.RIf (cmp, target, fall, a) ->
         let b = Array.unsafe_get heap (base + a + 1) in
         let x = Array.unsafe_get heap (base + a) in
@@ -1019,14 +1041,17 @@ let rec exec_region (vm : Rt.t) (t : Rt.thread) (r0 : Rt.region)
         t.t_pc <- next_pc;
         t.t_sp <- fbase + ss;
         chain next_pc
-    in
-    go 0 vm.heap (t.t_stack + Layout.header_words + fbase)
   and chain pc =
     match Array.unsafe_get regions pc with
-    | Some r when fuel - !executed >= r.Rt.r_n -> run_region r
+    | Some r when fuel - !executed >= r.Rt.r_n ->
+      go r.Rt.r_ops 0 vm.heap (t.t_stack + Layout.header_words + fbase)
     | _ -> ()
   in
-  run_region r0
+  go r0.Rt.r_ops 0 vm.heap (t.t_stack + Layout.header_words + fbase)
+
+(* The event digest's per-instruction fold, for the stack-tier paths. *)
+let fold_event (vm : Rt.t) kf pc ins =
+  vm.ev_h <- Rt.ev_fold vm.ev_h kf pc (Rt.tag_of_cinstr ins)
 
 (* Execute exactly one instruction of the current thread. *)
 let exec (vm : Rt.t) =
@@ -1039,6 +1064,7 @@ let exec (vm : Rt.t) =
   (match vm.hooks.h_observe with
   | Some f -> f vm t.tid t.t_meth.uid pc (Rt.tag_of_cinstr ins)
   | None -> ());
+  if vm.ev_on then fold_event vm (Rt.ev_key_frame t.tid t.t_meth.uid) pc ins;
   clock_instr vm;
   dispatch vm t pc ins
 
@@ -1064,12 +1090,23 @@ let step (vm : Rt.t) =
    [n_instr] is committed in one batched store per call, including the
    faulting instruction when an exception unwinds (same accounting as the
    one-at-a-time path). The segment loop is specialized once per segment for
-   the no-observer/no-instr-hook case — attaching or detaching those hooks
-   takes effect at the next segment boundary, never mid-segment (all stock
-   instrumentation attaches before the run starts). *)
+   the case with no per-instruction hook ([h_observe], [h_instr]; the event
+   digest is not one) — attaching or detaching those hooks takes effect at
+   the next segment boundary, never mid-segment (all stock instrumentation
+   attaches before the run starts). *)
 let exec_batch (vm : Rt.t) ~fuel =
   let executed = ref 0 in
-  let commit () = vm.stats.n_instr <- vm.stats.n_instr + !executed in
+  (* [executed] at the entry of the region running now, -1 outside one:
+     a region that unwinds is credited to [n_regir_instr] by [commit] *)
+  let region_mark = ref (-1) in
+  let commit () =
+    vm.stats.n_instr <- vm.stats.n_instr + !executed;
+    if !region_mark >= 0 then begin
+      vm.stats.n_regir_instr <-
+        vm.stats.n_regir_instr + (!executed - !region_mark);
+      region_mark := -1
+    end
+  in
   try
     while vm.status = Rt.Running_ && !executed < fuel do
       let tid = vm.current in
@@ -1077,26 +1114,31 @@ let exec_batch (vm : Rt.t) ~fuel =
       let meth = t.t_meth in
       let comp = Rt.compiled meth in
       let code = comp.k_code in
+      let kf = if vm.ev_on then Rt.ev_key_frame tid meth.uid else 0 in
       match (vm.hooks.h_instr, vm.hooks.h_observe) with
       | None, None ->
         (* fast loop: a register region when one starts at this pc and
            fits in the remaining fuel, else one canonical instruction —
-           fetch, clock, dispatch, nothing else. Mid-region pcs (a return
-           continuation, a fuel-limited tail) run here one at a time. *)
+           fetch, clock, dispatch, and the event-digest fold when it is
+           on. Mid-region pcs (a return continuation, a fuel-limited tail)
+           run here one at a time. *)
         let regions = comp.k_regions in
         let live = ref true in
         while !live do
           let pc = t.t_pc in
           (match Array.unsafe_get regions pc with
           | Some r when fuel - !executed >= r.Rt.r_n ->
-            let before = !executed in
-            exec_region vm t r regions ~fuel executed;
+            region_mark := !executed;
+            exec_region vm t r regions ~fuel ~depth:0 executed;
             vm.stats.n_regir_instr <-
-              vm.stats.n_regir_instr + (!executed - before)
+              vm.stats.n_regir_instr + (!executed - !region_mark);
+            region_mark := -1
           | _ ->
             incr executed;
+            let ins = code.(pc) in
+            if vm.ev_on then fold_event vm kf pc ins;
             clock_instr vm;
-            dispatch vm t pc code.(pc));
+            dispatch vm t pc ins);
           if
             vm.current <> tid || t.t_meth != meth
             || vm.status <> Rt.Running_ || !executed >= fuel
@@ -1117,6 +1159,7 @@ let exec_batch (vm : Rt.t) ~fuel =
           (match ho with
           | Some f -> f vm otid ouid pc (Rt.tag_of_cinstr ins)
           | None -> ());
+          if vm.ev_on then fold_event vm kf pc ins;
           clock_instr vm;
           dispatch vm t pc ins;
           if

@@ -112,7 +112,7 @@ let pp_rop (vm : Rt.t) ppf (op : Rt.rop) =
   in
   let qual (m : Rt.rmethod) = cname m.rm_cid ^ "." ^ m.rm_name in
   match op with
-  | Rt.RTick n -> Fmt.pf ppf "tick %d" n
+  | Rt.RTick { n; _ } -> Fmt.pf ppf "tick %d" n
   | Rt.RConst (d, v) -> Fmt.pf ppf "r%d := %d" d v
   | Rt.RMove (d, s) -> Fmt.pf ppf "r%d := r%d" d s
   | Rt.RStr (d, owner, idx) ->

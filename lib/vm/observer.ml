@@ -3,17 +3,18 @@
    executions as identical when their event sequences and per-event states
    agree; observers are how the tests and benches check exactly that.
 
-   Both observer kinds fold the SAME rolling hash over the events they see,
-   so a collecting observer's digest is comparable with a digesting one's
-   for the same run — and stays exact even past the collection cap, which
-   only bounds how many events are *kept*, never how many are counted or
-   hashed. *)
+   Both observer kinds fold the SAME digest ([Rt.ev_fold]) over the events
+   they see, so a collecting observer's digest is comparable with a
+   digesting one's for the same run — and stays exact even past the
+   collection cap, which only bounds how many events are *kept*, never how
+   many are counted or hashed.
 
-let hash_seed = 0x3bf29ce484222325
-
-let mix acc v = (acc lxor (v land max_int)) * 0x100000001b3 land max_int
-
-let mix4 acc tid uid pc tag = mix (mix (mix (mix acc tid) uid) pc) tag
+   The digesting observer installs no hook: it switches on the VM-resident
+   digest ([Rt.t.ev_on]), which the interpreter folds itself — per
+   instruction on the stack tier, per segment inside register regions —
+   so a digested run keeps the fast loop. The collecting observer needs
+   every event in hand and therefore hooks [h_observe], which selects the
+   per-instruction observed loop. *)
 
 type collector = {
   col_evs : Rt.obs list ref; (* reversed kept events *)
@@ -24,24 +25,22 @@ type collector = {
 }
 
 type t =
-  | Digesting of int ref * int ref (* rolling hash, event count *)
+  | Digesting of Rt.t * int
+    (* the hash lives in [ev_h]; the int is [n_instr] at attach, since
+       there is one event per executed instruction *)
   | Collecting of collector
 
 let attach_digest (vm : Rt.t) =
-  let h = ref hash_seed and n = ref 0 in
-  vm.hooks.h_observe <-
-    Some
-      (fun _vm tid uid pc tag ->
-        incr n;
-        h := mix4 !h tid uid pc tag);
-  Digesting (h, n)
+  vm.ev_h <- Rt.ev_seed;
+  vm.ev_on <- true;
+  Digesting (vm, vm.stats.n_instr)
 
 let attach_collect ?(max_events = 2_000_000) (vm : Rt.t) =
   let c =
     {
       col_evs = ref [];
       col_max = max_events;
-      col_hash = ref hash_seed;
+      col_hash = ref Rt.ev_seed;
       col_n = ref 0;
       col_dropped = ref 0;
     }
@@ -50,7 +49,8 @@ let attach_collect ?(max_events = 2_000_000) (vm : Rt.t) =
     Some
       (fun _vm tid uid pc tag ->
         incr c.col_n;
-        c.col_hash := mix4 !(c.col_hash) tid uid pc tag;
+        c.col_hash :=
+          Rt.ev_fold !(c.col_hash) (Rt.ev_key_frame tid uid) pc tag;
         if !(c.col_n) <= c.col_max then
           c.col_evs :=
             { Rt.o_tid = tid; o_uid = uid; o_pc = pc; o_tag = tag }
@@ -58,14 +58,16 @@ let attach_collect ?(max_events = 2_000_000) (vm : Rt.t) =
         else incr c.col_dropped);
   Collecting c
 
-let detach (vm : Rt.t) = vm.hooks.h_observe <- None
+let detach (vm : Rt.t) =
+  vm.hooks.h_observe <- None;
+  vm.ev_on <- false
 
 let digest = function
-  | Digesting (h, _) -> !h
+  | Digesting (vm, _) -> vm.Rt.ev_h
   | Collecting c -> !(c.col_hash)
 
 let count = function
-  | Digesting (_, n) -> !n
+  | Digesting (vm, base) -> vm.Rt.stats.n_instr - base
   | Collecting c -> !(c.col_n)
 
 let dropped = function Digesting _ -> 0 | Collecting c -> !(c.col_dropped)

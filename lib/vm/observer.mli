@@ -1,11 +1,21 @@
 (** Execution observers: capture or digest the event sequence (one event
     per executed instruction, yield points included). The paper defines
     two executions as identical when their event sequences and per-event
-    states agree; observers are how tests and benches check exactly that. *)
+    states agree; observers are how tests and benches check exactly that.
+
+    Every event is (tid, method uid, pc, instruction tag), folded by
+    [Rt.ev_fold]. The digesting observer installs no hook: it switches on
+    the VM-resident digest, which the interpreter folds per instruction on
+    the stack tier and once per segment inside register regions, so a
+    digested run (every [Dejavu.record]/[replay] by default) keeps the
+    fast loop. The collecting observer hooks [h_observe] and so runs the
+    per-instruction observed loop; its digest equals the digesting one's
+    for the same run. *)
 
 type t
 
-(** Attach a rolling-hash observer (cheap; suitable for full runs). *)
+(** Attach the event digest (cheap; suitable for full runs). Resets the
+    VM's digest state; at most one digesting observer per VM. *)
 val attach_digest : Rt.t -> t
 
 (** Attach a collecting observer keeping up to [max_events] events. The
@@ -13,13 +23,21 @@ val attach_digest : Rt.t -> t
     and [dropped] reports how many events were not kept. *)
 val attach_collect : ?max_events:int -> Rt.t -> t
 
+(** Detach both kinds: clear [h_observe] and switch the VM-resident
+    digest off (its value stays readable; its [count] does not freeze,
+    see below). *)
 val detach : Rt.t -> unit
 
-(** Rolling hash over every observed event — the same fold for both
-    observer kinds, so digests are comparable across them. *)
+(** Digest of every observed event — the same fold for both observer
+    kinds, so digests are comparable across them. Values are only
+    meaningful compared with other runs of the same build. *)
 val digest : t -> int
 
-(** True number of events observed (including any dropped past the cap). *)
+(** True number of events observed (including any dropped past the cap).
+    A digesting observer reads it off the VM's instruction count since
+    attach (one event per instruction), which is committed per slice: read
+    it between runs, not from a hook, and not after running a detached VM
+    further. *)
 val count : t -> int
 
 (** Events a collecting observer saw but did not keep; 0 for digesting. *)

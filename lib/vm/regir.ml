@@ -162,9 +162,11 @@ let lower_region ~nlocals ~nslots ~inline (code : Rt.cinstr array)
     kill dst;
     avail.(dst) <- Slot dst
   in
+  (* pc being lowered: the last instruction of any segment flushed now *)
+  let cur = ref start in
   (* end the current segment: backward liveness over the pending pure
-     writes with everything live at the barrier, then RTick + kept writes
-     + the final op *)
+     writes with everything live at the barrier, then RTick (with the
+     segment's digest constants) + kept writes + the final op *)
   let flush final =
     let live = Array.make nslots true in
     let kept =
@@ -181,7 +183,10 @@ let lower_region ~nlocals ~nslots ~inline (code : Rt.cinstr array)
         !recs
     in
     recs := [];
-    if !seg > 0 then ops := Rt.RTick !seg :: !ops;
+    (if !seg > 0 then
+       let n = !seg in
+       let mn, sn, kc = Rt.ev_segment code ~first:(!cur - n + 1) ~n in
+       ops := Rt.RTick { n; mn; sn; kc } :: !ops);
     List.iter (fun w -> ops := w.w_op :: !ops) (List.rev kept);
     (match final with Some f -> ops := f :: !ops | None -> ());
     seg := 0
@@ -189,6 +194,7 @@ let lower_region ~nlocals ~nslots ~inline (code : Rt.cinstr array)
   let depth = ref maps.(start).Rt.map_depth in
   try
     for p = start to last do
+      cur := p;
       if maps.(p).Rt.map_depth <> !depth then raise Abort;
       if !depth < 0 || nlocals + !depth > nslots then raise Abort;
       incr seg;
@@ -589,8 +595,19 @@ let check (m : Rt.rmethod) (code : Rt.cinstr array)
                   (nlocals + depth_at p + delta)
             in
             match op with
-            | Rt.RTick k ->
+            | Rt.RTick { n = k; mn; sn; kc } ->
               if k <= 0 then error "%s: non-positive tick in region at %d" name entry;
+              (* the segment covers the next [k] pcs: its digest constants
+                 must be the fold of exactly those instructions *)
+              let first = entry + !ticks in
+              if first + k - 1 > fin then
+                error "%s: region at %d ticks past its last pc %d" name entry
+                  fin;
+              if (mn, sn, kc) <> Rt.ev_segment code ~first ~n:k then
+                error
+                  "%s: region at %d: RTick for pcs %d..%d carries digest \
+                   constants that do not fold those instructions"
+                  name entry first (first + k - 1);
               ticks := !ticks + k
             | Rt.RConst (d, _) -> slots [ d ]
             | Rt.RMove (d, s) | Rt.RNeg (d, s) -> slots [ d; s ]

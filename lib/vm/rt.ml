@@ -117,15 +117,21 @@ and refmap = { map_locals : bool array; map_stack : bool array; map_depth : int 
    entry) and is segmented at every instruction that can fault, allocate,
    or run a hook: each segment pays its logical-clock ticks in one
    [RTick]/[Env.tick_batch] call (same PRNG draws as that many single
-   ticks), then performs the canonical operand-stack WRITES of the segment
-   — elided only when a later write in the same fault-free run overwrites
-   the slot before any possible observation — and ends with the faulting /
-   terminal operation. Pure ops read through the lowering's copy
-   propagation; risky and terminal ops read their canonical stack slots,
-   which the all-slots-live barrier before them guarantees are
-   materialized. *)
+   ticks) and, when the event digest is on, folds the segment's events
+   into it in O(1) from constants the lowering precomputed (see
+   [ev_fold] below), then performs the canonical operand-stack WRITES of
+   the segment — elided only when a later write in the same fault-free
+   run overwrites the slot before any possible observation — and ends
+   with the faulting / terminal operation. Pure ops read through the
+   lowering's copy propagation; risky and terminal ops read their
+   canonical stack slots, which the all-slots-live barrier before them
+   guarantees are materialized. *)
 and rop =
-  | RTick of int (* batched logical-clock ticks for the next segment *)
+  | RTick of { n : int; mn : int; sn : int; kc : int }
+    (* batched logical-clock ticks for the next segment's [n] canonical
+       instructions, plus that segment's event-digest constants: [mn] =
+       ev_mul^n, [sn] = sum of ev_mul^k for k < n, [kc] = the segment's
+       folded (pc, tag) keys (see [ev_segment]) *)
   (* pure segment body: cannot fault, allocate, or run hooks *)
   | RConst of int * int (* dst, value *)
   | RMove of int * int (* dst, src *)
@@ -477,6 +483,11 @@ and t = {
   output : Buffer.t;
   hooks : hooks;
   stats : stats;
+  (* the event digest ([Observer.attach_digest]): one fold per executed
+     instruction, kept in the VM rather than an [h_observe] closure so the
+     fast loop and register regions stay selected while it runs *)
+  mutable ev_on : bool;
+  mutable ev_h : int;
 }
 
 let cur vm = vm.threads.(vm.current)
@@ -586,6 +597,59 @@ let tag_of_cinstr = function
   | KHalt -> 46
   | KNop -> 47
   | KYield -> 48
+
+(* --- event digest ---------------------------------------------------
+
+   One event per executed instruction: (tid, method uid, pc, tag). The
+   digest folds each event as
+
+     h' = h * ev_mul + K_tid(tid) + K_uid(uid) + K_pc(pc, tag)
+
+   in native-int wraparound arithmetic (a ring, so the fold composes):
+   [n] events of one thread in one method, at pcs with keys k_0..k_{n-1},
+   take h to
+
+     h * ev_mul^n + (K_tid + K_uid) * sum_{j<n} ev_mul^j
+       + sum_{j<n} ev_mul^(n-1-j) * k_j
+
+   which is what lets a register-region segment fold its whole run of
+   events with two multiplies ([ev_segment] precomputes the constants at
+   lowering time). The keys come from a SplitMix-style finalizer over
+   domain-separated inputs, so a tid, a uid and a (pc, tag) never share a
+   key. Digest values are never persisted: only equality between runs of
+   one build is meaningful. *)
+
+let ev_seed = 0x3bf29ce484222325
+
+let ev_mul = 0x2545f4914f6cdd1d
+
+let ev_mix z =
+  let z = (z lxor (z lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let z = (z lxor (z lsr 27)) * 0x14d049bb133111eb in
+  z lxor (z lsr 31)
+
+(* K_tid(tid) + K_uid(uid): the part of an event's key that is constant
+   while one thread runs one method. *)
+let ev_key_frame tid uid =
+  ev_mix ((tid lsl 2) lor 1) + ev_mix ((uid lsl 2) lor 2)
+
+(* K_pc(pc, tag); tags are below 64. *)
+let ev_key_pc pc tag = ev_mix ((((pc lsl 8) lor tag) lsl 2) lor 3)
+
+(* One event. [kf] is [ev_key_frame tid uid]. *)
+let[@inline] ev_fold h kf pc tag = (h * ev_mul) + kf + ev_key_pc pc tag
+
+(* A segment's fold constants, for the canonical instructions of [code]
+   at pcs [first .. first + n - 1]: (ev_mul^n, sum ev_mul^j, folded keys),
+   as carried by [RTick]. *)
+let ev_segment (code : cinstr array) ~first ~n =
+  let mn = ref 1 and sn = ref 0 and kc = ref 0 in
+  for pc = first to first + n - 1 do
+    mn := !mn * ev_mul;
+    sn := (!sn * ev_mul) + 1;
+    kc := (!kc * ev_mul) + ev_key_pc pc (tag_of_cinstr code.(pc))
+  done;
+  (!mn, !sn, !kc)
 
 (* Branch target carried by a canonical instruction, if any — the
    register-IR lowering uses this to find the barriers no region may

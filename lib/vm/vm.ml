@@ -74,6 +74,7 @@ let live_hooks () : Rt.hooks =
 (* Put the hooks record back in live mode, field by field: [Rt.t.hooks] is
    an immutable field holding a record of mutable closures, and sessions
    (recorder, replayer, baselines, observers) mutate those fields in place.
+   The VM-resident event digest ([Rt.t.ev_on]) is switched off with them.
    Snapshots deliberately do not cover hooks, so a VM being reset for reuse
    must have them reinstalled explicitly. *)
 let install_live_hooks (vm : Rt.t) =
@@ -91,7 +92,8 @@ let install_live_hooks (vm : Rt.t) =
   hk.h_pick <- None;
   hk.h_spawn <- None;
   hk.h_lock <- None;
-  hk.h_hb <- None
+  hk.h_hb <- None;
+  vm.Rt.ev_on <- false
 
 let create ?(config = Rt.default_config) ?(natives = []) ?(inputs = [])
     (program : Bytecode.Decl.program) : t =
@@ -170,6 +172,8 @@ let create ?(config = Rt.default_config) ?(natives = []) ?(inputs = [])
       output = Buffer.create 256;
       hooks = live_hooks ();
       stats = Rt.fresh_stats ();
+      ev_on = false;
+      ev_h = Rt.ev_seed;
     }
   in
   vm

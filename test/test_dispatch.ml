@@ -1,7 +1,10 @@
 (* Dispatch-loop specialization checks: the interpreter picks a fast loop
-   when no observer is attached and an observed loop when one is, and the
-   two must be semantically indistinguishable — same outputs, same state
-   digests, same recorded traces, same event sequences. *)
+   when no per-instruction hook is attached and an observed loop when one
+   is, and the two must be semantically indistinguishable — same outputs,
+   same state digests, same recorded traces, same event sequences. The
+   event digest itself runs in the fast loop (folded per region segment),
+   so its parity with the collecting observer's per-event fold is checked
+   here too. *)
 
 open Tutil
 
@@ -13,9 +16,12 @@ let seeded seed =
     Vm.Rt.env_cfg = { Vm.Rt.default_config.Vm.Rt.env_cfg with Vm.Env.seed };
   }
 
-(* Live run under the observed loop: attach an observer before booting. *)
-let run_observed ?max_events ~natives ~seed program =
-  let vm = Vm.create ~config:(seeded seed) ~natives program in
+(* Live run with an observer attached before booting: the event digest
+   (fast loop) or, given [max_events], a collecting observer (observed
+   loop). *)
+let run_observed ?config ?max_events ~natives ~seed program =
+  let config = match config with Some c -> c | None -> seeded seed in
+  let vm = Vm.create ~config ~natives program in
   let obs =
     match max_events with
     | None -> Vm.Observer.attach_digest vm
@@ -24,30 +30,89 @@ let run_observed ?max_events ~natives ~seed program =
   ignore (Vm.run vm);
   (vm, obs)
 
+(* Record or replay on the observed loop: a collecting observer that
+   keeps nothing still hooks [h_observe], so every instruction runs through
+   the per-instruction loop, as explore's conflict-site probes do. *)
+let record_observed ~natives ~seed program =
+  let vm = Vm.create ~config:(seeded seed) ~natives program in
+  let session = Dejavu.Recorder.attach vm in
+  let obs = Vm.Observer.attach_collect ~max_events:0 vm in
+  ignore (Vm.run vm);
+  (vm, obs, Dejavu.Recorder.finish session)
+
+let replay_observed ~natives program trace =
+  let vm = Vm.create ~config:(seeded 424242) ~natives program in
+  let session = Dejavu.Replayer.attach vm trace in
+  let obs = Vm.Observer.attach_collect ~max_events:0 vm in
+  ignore (Vm.run vm);
+  (vm, obs, Dejavu.Replayer.check_complete session)
+
 (* Fast loop vs observed loop: a hook that only reads events must not
-   change the execution it observes. *)
+   change the execution it observes. The event digest is one fold however
+   it is driven — per region segment in the fast loop, per instruction in
+   the observed loop (collecting observer), per instruction on the stack
+   tier alone ([regir = false]), and across many tiny slices that end
+   regions early — so every leg must also give the same digest and count,
+   and the count is the instruction count. *)
 let test_fast_vs_observed_live () =
   List.iter
     (fun (e : Workloads.Registry.entry) ->
       List.iter
         (fun seed ->
-          let fast, fast_st = run ~natives:e.natives ~seed e.program in
-          let obs_vm, obs = run_observed ~natives:e.natives ~seed e.program in
-          let ctx = Fmt.str "%s/%d" e.name seed in
-          Alcotest.check status_testable (ctx ^ " status") fast_st
-            (Vm.status obs_vm);
-          Alcotest.(check string) (ctx ^ " output") (Vm.output fast)
-            (Vm.output obs_vm);
-          Alcotest.(check int) (ctx ^ " state digest") (Vm.digest fast)
-            (Vm.digest obs_vm);
-          Alcotest.(check int)
-            (ctx ^ " one event per instruction")
-            (Vm.stats obs_vm).n_instr (Vm.Observer.count obs))
+          let ctx what = Fmt.str "%s/%d %s" e.name seed what in
+          let plain, plain_st = run ~natives:e.natives ~seed e.program in
+          let fast_vm, fast = run_observed ~natives:e.natives ~seed e.program in
+          let col_vm, col =
+            run_observed ~max_events:0 ~natives:e.natives ~seed e.program
+          in
+          let stack_vm, stack =
+            run_observed
+              ~config:{ (seeded seed) with Vm.Rt.regir = false }
+              ~natives:e.natives ~seed e.program
+          in
+          let slice_vm =
+            Vm.create ~config:(seeded seed) ~natives:e.natives e.program
+          in
+          let slice = Vm.Observer.attach_digest slice_vm in
+          while Vm.run_slice ~fuel:7 slice_vm = Vm.Rt.Running_ do
+            ()
+          done;
+          List.iter
+            (fun (what, vm, obs) ->
+              Alcotest.check status_testable
+                (ctx (what ^ " status"))
+                plain_st (Vm.status vm);
+              Alcotest.(check string)
+                (ctx (what ^ " output"))
+                (Vm.output plain) (Vm.output vm);
+              Alcotest.(check int)
+                (ctx (what ^ " state digest"))
+                (Vm.digest plain) (Vm.digest vm);
+              Alcotest.(check int)
+                (ctx (what ^ " event digest"))
+                (Vm.Observer.digest col) (Vm.Observer.digest obs);
+              Alcotest.(check int)
+                (ctx (what ^ " event count"))
+                (Vm.Observer.count col) (Vm.Observer.count obs);
+              Alcotest.(check int)
+                (ctx (what ^ " one event per instruction"))
+                (Vm.stats vm).n_instr (Vm.Observer.count obs))
+            [
+              ("fast", fast_vm, fast);
+              ("observed", col_vm, col);
+              ("stack tier", stack_vm, stack);
+              ("7-instruction slices", slice_vm, slice);
+            ];
+          Alcotest.(check bool)
+            (ctx "fast loop ran regions")
+            true
+            ((Vm.stats fast_vm).n_regir_instr > 0))
         [ 1; 3 ])
     (all ())
 
-(* Record/replay under the observed loop: the roundtrip's event digests
-   must agree for every catalogued workload. *)
+(* Record/replay with the event digest (fast loop, register regions) and
+   on the observed loop: each roundtrip's event digests must agree, and
+   the two roundtrips must see the same events. *)
 let test_roundtrip_digests_observed () =
   List.iter
     (fun (e : Workloads.Registry.entry) ->
@@ -55,39 +120,72 @@ let test_roundtrip_digests_observed () =
       Alcotest.(check bool)
         (e.name ^ " events equal")
         true rt.Dejavu.events_equal;
-      Alcotest.(check bool) (e.name ^ " roundtrip ok") true (Dejavu.ok rt))
+      Alcotest.(check bool) (e.name ^ " roundtrip ok") true (Dejavu.ok rt);
+      let rec_vm, rec_obs, trace =
+        record_observed ~natives:e.natives ~seed:3 e.program
+      in
+      let rep_vm, rep_obs, leftovers =
+        replay_observed ~natives:e.natives e.program trace
+      in
+      let ctx what = e.name ^ " observed loop " ^ what in
+      Alcotest.(check (list string)) (ctx "trace consumed") [] leftovers;
+      Alcotest.check status_testable (ctx "status") (Vm.status rec_vm)
+        (Vm.status rep_vm);
+      Alcotest.(check string) (ctx "output") (Vm.output rec_vm)
+        (Vm.output rep_vm);
+      Alcotest.(check int) (ctx "state digest") (Vm.digest rec_vm)
+        (Vm.digest rep_vm);
+      Alcotest.(check int) (ctx "events equal") (Vm.Observer.digest rec_obs)
+        (Vm.Observer.digest rep_obs);
+      Alcotest.(check int) (ctx "event count") (Vm.Observer.count rec_obs)
+        (Vm.Observer.count rep_obs);
+      Alcotest.(check int)
+        (ctx "events vs digested record")
+        rt.recorded.obs_digest (Vm.Observer.digest rec_obs))
     (all ())
 
-(* Cross-loop recording: a trace recorded under the fast loop (observer
-   detached) must be byte-identical to one recorded under the observed
-   loop, and replaying it with an observer must reproduce the observed
+(* Cross-loop recording: a trace recorded under the fast loop (no
+   observer), one recorded with the event digest (fast loop too), and one
+   recorded under the observed loop must be byte-identical, and replaying
+   the observer-free trace with the digest on must reproduce the observed
    recording's event digest. *)
 let test_fast_recorded_trace_matches () =
   List.iter
     (fun (e : Workloads.Registry.entry) ->
-      let obs_run, obs_trace =
+      let _, obs, obs_trace =
+        record_observed ~natives:e.natives ~seed:1 e.program
+      in
+      let dig_run, dig_trace =
         Dejavu.record ~natives:e.natives ~seed:1 e.program
       in
       let fast_run, fast_trace =
         Dejavu.record ~natives:e.natives ~seed:1 ~observe:false e.program
       in
+      let fast_bytes = Dejavu.Trace.to_bytes fast_trace in
       Alcotest.(check string)
-        (e.name ^ " trace bytes")
+        (e.name ^ " trace bytes vs observed loop")
         (Dejavu.Trace.to_bytes obs_trace)
-        (Dejavu.Trace.to_bytes fast_trace);
+        fast_bytes;
+      Alcotest.(check string)
+        (e.name ^ " trace bytes vs digested")
+        (Dejavu.Trace.to_bytes dig_trace)
+        fast_bytes;
       Alcotest.(check int)
         (e.name ^ " fast record leaves no digest")
         0 fast_run.Dejavu.obs_count;
+      Alcotest.(check int)
+        (e.name ^ " digested record vs observed record")
+        (Vm.Observer.digest obs) dig_run.Dejavu.obs_digest;
       let replayed, leftovers =
         Dejavu.replay ~natives:e.natives e.program fast_trace
       in
       Alcotest.(check (list string)) (e.name ^ " trace consumed") [] leftovers;
       Alcotest.(check int)
         (e.name ^ " replay digest vs observed record")
-        obs_run.Dejavu.obs_digest replayed.Dejavu.obs_digest;
+        (Vm.Observer.digest obs) replayed.Dejavu.obs_digest;
       Alcotest.(check int)
         (e.name ^ " replay count vs observed record")
-        obs_run.Dejavu.obs_count replayed.Dejavu.obs_count)
+        (Vm.Observer.count obs) replayed.Dejavu.obs_count)
     (all ())
 
 (* Register tier vs stack tier: [cfg.regir] only decides whether verified
@@ -374,6 +472,42 @@ let test_inline_sites_splice () =
     Alcotest.failf "racy-counter regir coverage %d/%d = %.3f < 0.9"
       s.n_regir_instr s.n_instr coverage
 
+(* A region that unwinds still credits the instructions it retired.
+   overflow's recursive splices end in a caught StackOverflowError; the
+   directed loop below chains region to region inside one region call for
+   its whole run, then divides by zero. Nearly every instruction of both
+   runs in regions. *)
+let div_loop_prog iters =
+  main_prog ~nlocals:2
+    [
+      i (I.Const 0); i (I.Store 0); i (I.Const 0); i (I.Store 1);
+      l "loop";
+      i (I.Load 0); i (I.Const 100); i (I.Const iters); i (I.Load 1); i I.Sub;
+      i I.Div; i I.Add; i (I.Store 0);
+      i (I.Load 1); i (I.Const 1); i I.Add; i (I.Store 1);
+      i (I.Goto "loop");
+    ]
+
+let test_unwinding_region_credited () =
+  let overflow =
+    match Workloads.Registry.find "overflow" with
+    | Some e -> e
+    | None -> Alcotest.fail "overflow workload missing"
+  in
+  List.iter
+    (fun (name, natives, program) ->
+      let vm, _ = run ~natives ~seed:1 program in
+      let s = Vm.stats vm in
+      Alcotest.(check bool) (name ^ " unwound") true (s.n_exceptions > 0);
+      let coverage = float s.n_regir_instr /. float s.n_instr in
+      if coverage < 0.9 then
+        Alcotest.failf "%s regir coverage %d/%d = %.3f < 0.9" name
+          s.n_regir_instr s.n_instr coverage)
+    [
+      ("overflow", overflow.natives, overflow.program);
+      ("div-loop", [], div_loop_prog 3000);
+    ]
+
 (* Interrupts arriving mid-region at a monitor op: a tiny timer quantum
    lands preemption requests on monitorenter/monitorexit constantly, so
    the region fast path's continue-only-while-running guard is exercised
@@ -443,10 +577,8 @@ let test_interrupt_at_monitor_op () =
         (ctx ^ " output")
         (Fmt.str "%d\n" (3 * iters))
         rr.Dejavu.output;
-      (* coverage is checked on a live (unobserved) run: the observed
-         loop recording uses dispatches canonically, outside regions *)
-      let live, _ = run ~config:cfg ~seed p in
-      let stats = Vm.stats live in
+      (* the digested recording itself runs on the register tier *)
+      let stats = Vm.stats rr.Dejavu.vm in
       Alcotest.(check bool)
         (ctx ^ " preemptions arrived")
         true
@@ -516,6 +648,104 @@ let test_collect_cap_semantics () =
   Alcotest.(check int) "kept exactly the cap" cap
     (List.length (Vm.Observer.events col))
 
+(* The fold is order-sensitive: recomputing it over a collected event
+   sequence reproduces the digest, and transposing two distinct events
+   anywhere in the sequence changes it. *)
+let test_fold_order_sensitive () =
+  let e =
+    match Workloads.Registry.find "ring" with
+    | Some e -> e
+    | None -> Alcotest.fail "ring workload missing"
+  in
+  let _, col =
+    run_observed ~max_events:max_int ~natives:e.natives ~seed:2 e.program
+  in
+  let evs = Array.of_list (Vm.Observer.events col) in
+  let fold evs =
+    Array.fold_left
+      (fun h (o : Vm.Rt.obs) ->
+        Vm.Rt.ev_fold h
+          (Vm.Rt.ev_key_frame o.o_tid o.o_uid)
+          o.o_pc o.o_tag)
+      Vm.Rt.ev_seed evs
+  in
+  let h = fold evs in
+  Alcotest.(check int) "refold = digest" (Vm.Observer.digest col) h;
+  let n = Array.length evs in
+  let checked = ref 0 in
+  let transpose i j =
+    if evs.(i) <> evs.(j) then begin
+      let ev' = Array.copy evs in
+      ev'.(i) <- evs.(j);
+      ev'.(j) <- evs.(i);
+      incr checked;
+      if fold ev' = h then
+        Alcotest.failf "transposing events %d and %d leaves the digest" i j
+    end
+  in
+  for k = 0 to 199 do
+    let i = k * (n - 1) / 200 in
+    transpose i (i + 1);
+    transpose i (n - 1 - (i / 2))
+  done;
+  Alcotest.(check bool) "some transpositions checked" true (!checked > 100)
+
+(* [Regir.check] recomputes every RTick's digest constants from the code:
+   a tampered constant is rejected, the lowered table passes. *)
+let test_audit_rejects_tampered_tick () =
+  let vm, _ =
+    run ~config:{ Vm.Rt.default_config with Vm.Rt.audit = true } ~seed:1
+      (tiny_call_prog 10)
+  in
+  let main =
+    match
+      Array.find_opt
+        (fun (m : Vm.Rt.rmethod) -> m.rm_name = "main")
+        vm.Vm.Rt.methods
+    with
+    | Some m -> m
+    | None -> Alcotest.fail "no main"
+  in
+  let c = Vm.Rt.compiled main in
+  let check regions =
+    Vm.Regir.check main c.k_code c.k_handlers c.k_maps
+      ~nlocals:main.rm_nlocals ~max_stack:c.k_max_stack regions
+  in
+  check c.k_regions;
+  let tamper f =
+    let hit = ref false in
+    Array.map
+      (Option.map (fun (r : Vm.Rt.region) ->
+           {
+             r with
+             r_ops =
+               Array.map
+                 (fun op ->
+                   match op with
+                   | Vm.Rt.RTick { n; mn; sn; kc } when not !hit ->
+                     hit := true;
+                     f n mn sn kc
+                   | op -> op)
+                 r.r_ops;
+           }))
+      c.k_regions
+  in
+  List.iter
+    (fun (what, regions) ->
+      match check regions with
+      | () -> Alcotest.failf "audit accepted a tampered %s" what
+      | exception Vm.Regir.Error msg ->
+        Alcotest.(check bool) (what ^ ": names the digest constants") true
+          (contains msg "digest constants"))
+    [
+      ( "folded key",
+        tamper (fun n mn sn kc -> Vm.Rt.RTick { n; mn; sn; kc = kc + 1 }) );
+      ( "power",
+        tamper (fun n mn sn kc -> Vm.Rt.RTick { n; mn = mn * 3; sn; kc }) );
+      ( "sum",
+        tamper (fun n mn sn kc -> Vm.Rt.RTick { n; mn; sn = sn - 1; kc }) );
+    ]
+
 let () =
   Alcotest.run "dispatch"
     [
@@ -532,6 +762,7 @@ let () =
           quick "poly-IC transition mid-trace" test_poly_ic_transition;
           quick "tiny callee inlined into region" test_tiny_callee_inlined;
           quick "inline sites splice whole callees" test_inline_sites_splice;
+          quick "unwinding region credited" test_unwinding_region_credited;
           quick "interrupt at a monitor op mid-region"
             test_interrupt_at_monitor_op;
         ] );
@@ -539,5 +770,8 @@ let () =
         [
           quick "collect matches digest" test_collect_matches_digest;
           quick "cap: digest, count, dropped" test_collect_cap_semantics;
+          quick "fold is order-sensitive" test_fold_order_sensitive;
+          quick "audit rejects a tampered RTick"
+            test_audit_rejects_tampered_tick;
         ] );
     ]
