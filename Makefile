@@ -33,7 +33,11 @@ bench-farm:
 # event digests, and observer counts are identical — the tier is a pure
 # perf optimisation and must be invisible to replay. The register tier
 # folds the event digest once per region segment and the stack tier once
-# per instruction, so this also gates region-fold parity.
+# per instruction, so this also gates region-fold parity. Each workload's
+# trace is also replayed twice — by default, with the virtual clock off,
+# and with the clock forced back on — and the gate fails unless the
+# default replay drew no clock ticks (env.ticks = 0) and both replays give
+# the same status, output, digests, counts and leftovers.
 regir-smoke:
 	dune exec bench/main.exe -- regir-smoke
 

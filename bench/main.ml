@@ -655,6 +655,38 @@ let farm_smoke () =
     (if ok then "farm-smoke PASS" else "farm-smoke FAIL");
   if not ok then exit 1
 
+(* Replay runs without the per-instruction virtual clock: the default
+   replay of [trace] must draw nothing ([env.ticks = 0], no timer fire) and
+   still equal a replay with the clock forced back on right after attach —
+   status, output, state and event digests, instruction and switch counts,
+   leftovers. *)
+let clockless_parity (e : Workloads.Registry.entry) trace =
+  let r, leftovers = Dejavu.replay ~natives:e.natives e.program trace in
+  let config =
+    {
+      Vm.Rt.default_config with
+      Vm.Rt.env_cfg =
+        { Vm.Rt.default_config.Vm.Rt.env_cfg with Vm.Env.seed = 424242 };
+    }
+  in
+  let vm = Vm.create ~config ~natives:e.natives e.program in
+  let session = Dejavu.Replayer.attach vm trace in
+  vm.Vm.Rt.clock_on <- true;
+  let observer = Vm.Observer.attach_digest vm in
+  ignore (Vm.run vm);
+  let env = r.Dejavu.vm.Vm.Rt.env and st = Vm.stats r.Dejavu.vm in
+  env.Vm.Env.ticks = 0
+  && env.Vm.Env.timer_fires = 0
+  && vm.Vm.Rt.env.Vm.Env.ticks = (Vm.stats vm).n_instr
+  && r.Dejavu.status = Vm.status vm
+  && String.equal r.Dejavu.output (Vm.output vm)
+  && r.Dejavu.state_digest = Vm.digest vm
+  && r.Dejavu.obs_digest = Vm.Observer.digest observer
+  && r.Dejavu.obs_count = Vm.Observer.count observer
+  && st.n_instr = (Vm.stats vm).n_instr
+  && st.n_switch = (Vm.stats vm).n_switch
+  && leftovers = Dejavu.Replayer.check_complete session
+
 (* CI gate: the register tier must be invisible — byte-identical traces,
    identical state digests, and identical event sequences vs the stack
    tier, across the whole registry — and it must pay for itself: any
@@ -664,10 +696,12 @@ let farm_smoke () =
    segment and the stack tier once per instruction, so the event-digest
    comparison also gates region-fold parity. The monitor-heavy
    workloads additionally cross-replay: a trace recorded under one tier
-   must replay to the same digests under the other. *)
+   must replay to the same digests under the other. Every workload's
+   trace must also pass [clockless_parity]. *)
 let regir_smoke () =
   section "regir-smoke"
-    "register vs stack tier: trace/digest identity + speedup floor";
+    "register vs stack tier: trace/digest identity + speedup floor; \
+     clockless replay parity";
   let noregir = { Vm.Rt.default_config with Vm.Rt.regir = false } in
   let failures = ref 0 in
   List.iter
@@ -679,11 +713,13 @@ let regir_smoke () =
       let traces_eq =
         String.equal (Dejavu.Trace.to_bytes t_on) (Dejavu.Trace.to_bytes t_off)
       in
+      let clockless = clockless_parity e t_on in
       let ok =
         traces_eq
         && r_on.Dejavu.state_digest = r_off.Dejavu.state_digest
         && r_on.Dejavu.obs_digest = r_off.Dejavu.obs_digest
         && r_on.Dejavu.obs_count = r_off.Dejavu.obs_count
+        && clockless
       in
       (* live on/off speedup, best of 3 interleaved reps so slow phases
          of the bench process hit both tiers alike *)
@@ -707,12 +743,13 @@ let regir_smoke () =
       let slow = timed && speedup < 0.95 in
       if not ok || slow then incr failures;
       Fmt.pr "%-24s %s  %s@." e.name
-        (if ok then "identical"
+        (if ok then "identical, clockless replay equal"
          else
-           Fmt.str "DIFFER (trace %b, state %b, events %b, %d vs %d)" traces_eq
+           Fmt.str "DIFFER (trace %b, state %b, events %b, %d vs %d, clockless %b)"
+             traces_eq
              (r_on.Dejavu.state_digest = r_off.Dejavu.state_digest)
              (r_on.Dejavu.obs_digest = r_off.Dejavu.obs_digest)
-             r_on.Dejavu.obs_count r_off.Dejavu.obs_count)
+             r_on.Dejavu.obs_count r_off.Dejavu.obs_count clockless)
         (if not timed then Fmt.str "%.2fx (untimed, %d instrs)" speedup !n
          else if slow then Fmt.str "%.2fx SLOW (< 0.95x floor)" speedup
          else Fmt.str "%.2fx" speedup))
@@ -1190,7 +1227,9 @@ let all : (string * string * (unit -> unit)) list =
     ("E14", "systematic schedule exploration (DPOR vs unpruned)", e14);
     ("micro", "bechamel microbenches", micro);
     ("farm-smoke", "CI: sharded+warm aggregate digest equality", farm_smoke);
-    ("regir-smoke", "CI: register vs stack tier trace/digest identity", regir_smoke);
+    ("regir-smoke",
+     "CI: register vs stack tier trace/digest identity, clockless replay",
+     regir_smoke);
     ("--json", "write the BENCH_interp.json perf trajectory", json);
   ]
 

@@ -60,7 +60,10 @@ let record ?(config = Vm.Rt.default_config) ?(natives = []) ?(inputs = [])
   (run, Recorder.finish session)
 
 (* Replay a trace. The seed deliberately defaults to something different
-   from any recording seed: replay must not depend on the environment. *)
+   from any recording seed: replay must not depend on the environment. It
+   cannot: the replayer takes clock values, inputs and native outcomes
+   from the trace and switches the per-instruction virtual clock off, so
+   the seeded streams are never drawn from ([env.ticks] stays 0). *)
 let replay ?(config = Vm.Rt.default_config) ?(natives = []) ?(seed = 424242)
     ?limit ?(observe = true) program (trace : Trace.t) : run * string list =
   let config =

@@ -1,16 +1,26 @@
 (* Replay mode: deterministic operations re-execute; non-deterministic
    operations are systematically replaced by the retrieval of their recorded
-   results. The environment's clock, input, and native code never run. Each
-   retrieval checks that the event kind the program is asking for matches
-   what the recording said comes next — any mismatch is a divergence, which
-   (given symmetric instrumentation) indicates the program or platform
-   changed between record and replay. *)
+   results. The environment's clock, input, and native code never run —
+   and neither does the per-instruction virtual clock: [attach_io] switches
+   it off ([Rt.t.clock_on]), because every clock value comes from the
+   trace and the replay yield-point hooks switch threads on the logical
+   clock alone, never on the timer's preemption bit. A replay therefore
+   ends with [env.ticks = 0] and pays nothing for the PRNG draws a live or
+   recorded run makes per instruction. Each retrieval checks that the
+   event kind the program is asking for matches what the recording said
+   comes next — any mismatch is a divergence, which (given symmetric
+   instrumentation) indicates the program or platform changed between
+   record and replay. *)
 
 exception Divergence = Session.Divergence
 
-(* Install the clock/input/native substitution only; yield-point
-   instrumentation is installed separately (see Recorder.attach_io). *)
+(* Install the clock/input/native substitution and switch the virtual
+   clock off; yield-point instrumentation is installed separately (see
+   Recorder.attach_io). Every replay scheme — DejaVu's and the baselines'
+   — passes through here; [Vm.install_live_hooks] turns the clock back
+   on. *)
 let attach_io (vm : Vm.Rt.t) (s : Session.t) =
+  vm.clock_on <- false;
   vm.hooks.h_clock <-
     (fun vm reason ->
       let expect = Trace.tag_of_reason reason in

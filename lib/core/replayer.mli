@@ -1,12 +1,16 @@
 (** Replay mode: deterministic operations re-execute; non-deterministic
     operations are systematically replaced by the retrieval of their
     recorded results. The environment's clock, input, and native code
-    never run. Every retrieval checks that the event kind matches what the
-    recording says comes next; a mismatch raises {!Divergence}. *)
+    never run, and neither does the per-instruction virtual clock: replay
+    switches threads on the logical clock alone, so a replayed run ends
+    with [env.ticks = 0]. Every retrieval checks that the event kind
+    matches what the recording says comes next; a mismatch raises
+    {!Divergence}. *)
 
 exception Divergence of string
 
-(** Install only the clock/input/native substitution. *)
+(** Install only the clock/input/native substitution, and switch the
+    virtual clock off ([Vm.Rt.t.clock_on]; [Vm.reset] turns it back on). *)
 val attach_io : Vm.Rt.t -> Session.t -> unit
 
 (** Reject a header recorded for a different program or under a different

@@ -233,14 +233,18 @@ let put_varint buf v =
    0..56; a 10th continuation byte would shift past bit 62, which [lsl]
    leaves unspecified — reject it. A final byte of 0 past the first group
    is a non-canonical encoding [put_varint] never produces; reject it too
-   so every value has exactly one byte representation. *)
-let get_varint s pos =
-  let v = ref 0 and shift = ref 0 and p = ref pos and continue_ = ref true in
+   so every value has exactly one byte representation. [lim] bounds the
+   readable prefix of [buf], so the streaming reader can decode straight
+   out of a partly filled block; [pos] is advanced past the value, which
+   keeps a loop over many values free of per-value allocation. *)
+let get_varint_bytes buf ~lim pos =
+  let v = ref 0 and shift = ref 0 and continue_ = ref true in
   while !continue_ do
-    if !p >= String.length s then raise (Format_error "truncated varint");
+    let p = !pos in
+    if p >= lim then raise (Format_error "truncated varint");
     if !shift > 56 then raise (Format_error "oversized varint");
-    let b = Char.code s.[!p] in
-    incr p;
+    let b = Char.code (Bytes.get buf p) in
+    pos := p + 1;
     v := !v lor ((b land 0x7f) lsl !shift);
     if b land 0x80 = 0 then begin
       if b = 0 && !shift > 0 then
@@ -249,7 +253,16 @@ let get_varint s pos =
     end
     else shift := !shift + 7
   done;
-  (unzigzag !v, !p)
+  unzigzag !v
+
+(* Reading never mutates the bytes, so viewing the string as bytes is
+   safe. *)
+let get_varint s pos =
+  let p = ref pos in
+  let v =
+    get_varint_bytes (Bytes.unsafe_of_string s) ~lim:(String.length s) p
+  in
+  (v, !p)
 
 (* Encoded size of one value, without producing the bytes: a zigzagged
    63-bit int occupies ceil(bits/7) groups of 7. *)
@@ -263,14 +276,13 @@ let put_section buf arr =
   Array.iter (put_varint buf) arr
 
 let get_section s pos =
-  let n, pos = get_varint s pos in
+  let b = Bytes.unsafe_of_string s and lim = String.length s in
+  let p = ref pos in
+  let n = get_varint_bytes b ~lim p in
   if n < 0 then raise (Format_error "negative section length");
   let arr = Array.make n 0 in
-  let p = ref pos in
   for i = 0 to n - 1 do
-    let v, p' = get_varint s !p in
-    arr.(i) <- v;
-    p := p'
+    arr.(i) <- get_varint_bytes b ~lim p
   done;
   (arr, !p)
 
@@ -600,13 +612,22 @@ end
 
 (* --- streaming reader -------------------------------------------------- *)
 
-(* Replays a trace file through chunked tapes: the header is parsed and the
-   four sections located up front (one linear scan, O(1) memory), then each
-   tape refills [chunk_words]-element chunks on demand from its own cursor
-   into the shared channel. Resident memory is O(chunk), constant in trace
+(* Replays a trace file through chunked tapes. [open_file] parses the
+   header off the channel, then locates every section in one linear pass
+   that counts varint terminators over a reused block; each tape then
+   refills [chunk_words]-element chunks on demand: one [really_input] of at
+   most [9 * k + 1] bytes (a well-formed varint is at most 9 bytes, and the
+   extra byte lets an oversized one be reported as such), clipped at the
+   section end, decoded in place by [get_varint_bytes] — the same
+   truncated / oversized / non-canonical checks as {!of_bytes}. Resident
+   memory is one block plus one chunk per tape, constant in trace
    length. *)
 module Reader = struct
-  type cursor = { mutable offset : int; mutable left : int }
+  type cursor = {
+    mutable offset : int; (* file offset of the next undecoded value *)
+    mutable left : int; (* values not yet decoded *)
+    stop : int; (* file offset one past the section's last byte *)
+  }
 
   type t = {
     ic : in_channel;
@@ -617,6 +638,7 @@ module Reader = struct
     mutable r_closed : bool;
   }
 
+  (* Header fields only: the sections are scanned and decoded in blocks. *)
   let input_varint ic =
     let v = ref 0 and shift = ref 0 and continue_ = ref true in
     while !continue_ do
@@ -642,22 +664,64 @@ module Reader = struct
     | exception End_of_file ->
       raise (Format_error (Fmt.str "truncated %s" what))
 
-  (* Skip [n] varints by scanning for terminator bytes (top bit clear);
-     malformed interiors surface as Format_error at read time. *)
-  let skip_varints ic n =
-    for _ = 1 to n do
-      let fin = ref false in
-      while not !fin do
-        match input_char ic with
-        | c -> if Char.code c land 0x80 = 0 then fin := true
-        | exception End_of_file ->
-          raise (Format_error "truncated section")
+  let scan_block_bytes = 65536
+
+  (* The open-time pass over the sections: a window [blk.(pos .. len)] onto
+     the file, starting at file offset [base + pos], read sequentially off
+     the channel (no seeks). *)
+  type scan = {
+    blk : Bytes.t;
+    mutable base : int; (* file offset of blk.(0) *)
+    mutable pos : int;
+    mutable len : int;
+  }
+
+  let scan_offset sc = sc.base + sc.pos
+
+  (* Make at least [need] unread bytes available, short only at end of
+     file: the unread tail moves to the front and the rest is filled. *)
+  let ensure ic sc need =
+    if sc.len - sc.pos < need then begin
+      let rest = sc.len - sc.pos in
+      Bytes.blit sc.blk sc.pos sc.blk 0 rest;
+      sc.base <- sc.base + sc.pos;
+      sc.pos <- 0;
+      sc.len <- rest;
+      let eof = ref false in
+      while sc.len < need && not !eof do
+        let r = input ic sc.blk sc.len (Bytes.length sc.blk - sc.len) in
+        if r = 0 then eof := true else sc.len <- sc.len + r
       done
+    end
+
+  (* A section's element count: one varint, with every {!get_varint}
+     check. *)
+  let scan_count ic sc =
+    ensure ic sc 10;
+    let p = ref sc.pos in
+    let v = get_varint_bytes sc.blk ~lim:sc.len p in
+    sc.pos <- !p;
+    v
+
+  (* Skip [n] varints by counting terminator bytes (top bit clear);
+     malformed interiors surface as Format_error at refill time. *)
+  let scan_skip ic sc n =
+    let left = ref n in
+    while !left > 0 do
+      ensure ic sc 1;
+      if sc.pos >= sc.len then raise (Format_error "truncated section");
+      let p = ref sc.pos in
+      while !left > 0 && !p < sc.len do
+        if Char.code (Bytes.unsafe_get sc.blk !p) land 0x80 = 0 then decr left;
+        incr p
+      done;
+      sc.pos <- !p
     done
 
   let default_chunk_words = 1024
 
   let open_file ?(chunk_words = default_chunk_words) path =
+    if chunk_words < 1 then invalid_arg "Trace.Reader.open_file: chunk_words";
     let ic = open_in_bin path in
     match
       let file_len = in_channel_length ic in
@@ -672,39 +736,70 @@ module Reader = struct
       in
       let r_digest = str_field "digest" in
       let r_hash = str_field "analysis-hash" in
-      let read_cursor () =
-        let count = input_varint ic in
+      let body = pos_in ic in
+      let sc =
+        {
+          blk = Bytes.create (max 16 (min scan_block_bytes (file_len - body)));
+          base = body;
+          pos = 0;
+          len = 0;
+        }
+      in
+      let section () =
+        let count = scan_count ic sc in
         if count < 0 then raise (Format_error "negative section length");
-        let start = pos_in ic in
-        skip_varints ic count;
-        (count, { offset = start; left = count })
+        let offset = scan_offset sc in
+        scan_skip ic sc count;
+        { offset; left = count; stop = scan_offset sc }
       in
       let cursors =
         Array.init (Array.length Writer.stream_names) (fun i ->
-            if i < Writer.mandatory_streams then read_cursor ()
+            if i < Writer.mandatory_streams then section ()
             else if
               (* the trailing picks section is optional: absent entirely in
                  traces from ordinary recordings *)
-              pos_in ic < file_len
-            then read_cursor ()
-            else (0, { offset = pos_in ic; left = 0 }))
+              scan_offset sc < file_len
+            then section ()
+            else { offset = file_len; left = 0; stop = file_len })
       in
-      if pos_in ic <> file_len then raise (Format_error "trailing bytes");
-      let r_counts = Array.map fst cursors in
+      ensure ic sc 1;
+      if sc.pos < sc.len then raise (Format_error "trailing bytes");
+      (* one refill buffer for every tape, the scan block when it is big
+         enough: refills run one at a time and decode before returning *)
+      let refill_bytes c =
+        min (c.stop - c.offset) ((9 * min chunk_words c.left) + 1)
+      in
+      let need =
+        Array.fold_left (fun acc c -> max acc (refill_bytes c)) 0 cursors
+      in
+      let buf =
+        if need <= Bytes.length sc.blk then sc.blk else Bytes.create need
+      in
+      let r_counts = Array.map (fun c -> c.left) cursors in
       let r_tapes =
         Array.mapi
           (fun i name ->
-            let _, cur = cursors.(i) in
+            let cur = cursors.(i) in
             Tape.of_refill name ~pending:cur.left (fun (t : Tape.t) ->
                 if cur.left = 0 then false
                 else begin
                   let k = min chunk_words cur.left in
+                  let n = refill_bytes cur in
                   seek_in ic cur.offset;
-                  let chunk = Array.init k (fun _ -> input_varint ic) in
-                  cur.offset <- pos_in ic;
+                  (match really_input ic buf 0 n with
+                  | () -> ()
+                  | exception End_of_file ->
+                    raise (Format_error "truncated section"));
+                  (* the first refill is the largest: one array per
+                     tape, reused by every later refill *)
+                  if Array.length t.data < k then t.data <- Array.make k 0;
+                  let p = ref 0 in
+                  for j = 0 to k - 1 do
+                    t.data.(j) <- get_varint_bytes buf ~lim:n p
+                  done;
+                  cur.offset <- cur.offset + !p;
                   cur.left <- cur.left - k;
                   t.base <- t.base + t.len;
-                  t.data <- chunk;
                   t.len <- k;
                   t.rd <- 0;
                   t.pending <- cur.left;

@@ -634,11 +634,13 @@ let dispatch (vm : Rt.t) (t : Rt.thread) pc ins =
     vm.hooks.h_yieldpoint vm
 
 (* Advance the environment clock for one executed instruction and latch a
-   timer fire into the preemption bit. The [cfg.clock] guard exists for
-   one consumer: the bench's no-clock mode, which prices the clock itself
-   by differencing timed runs with the guard on and off. *)
+   timer fire into the preemption bit. Guarded by [vm.clock_on], which is
+   off in replay: a replayed run takes every clock value from the trace
+   and switches threads on the logical clock alone, so nothing reads the
+   draws or the bit. The bench's no-clock mode ([cfg.clock = false])
+   turns it off in live runs to price the clock itself. *)
 let clock_instr (vm : Rt.t) =
-  if vm.cfg.clock then begin
+  if vm.clock_on then begin
     (* open-coded [Env.tick] fast path: strictly inside the precomputed
        horizon a tick is two counter bumps, and this duplicate keeps it
        free of the cross-module call (semantically identical — [tick]
@@ -658,7 +660,7 @@ let clock_instr (vm : Rt.t) =
    once ([Rt.RTick]): one stub call, same draws, every fire latched and
    counted as n ticks would. *)
 let clock_batch (vm : Rt.t) n =
-  if vm.cfg.clock then begin
+  if vm.clock_on then begin
     let e = vm.env in
     if e.Env.h_valid && e.Env.h_pending + n < e.Env.h_count then begin
       e.Env.h_pending <- e.Env.h_pending + n;

@@ -435,8 +435,10 @@ and config = {
          sub-millisecond workloads its wall cost rivals the run itself —
          so production configs leave it off *)
   clock : bool;
-      (* advance the environment clock per instruction (always true in
-         real runs; the bench turns it off to price the clock itself) *)
+      (* advance the environment clock per instruction in live and record
+         runs ([Rt.t.clock_on] starts from it). The default is on; the
+         bench turns it off to price the clock itself. Replay never reads
+         the clock, so attaching a replayer switches it off regardless *)
   env_cfg : Env.config;
 }
 
@@ -488,6 +490,13 @@ and t = {
      fast loop and register regions stay selected while it runs *)
   mutable ev_on : bool;
   mutable ev_h : int;
+  (* the per-instruction virtual clock ([Interp.clock_instr]/[clock_batch]):
+     starts from [cfg.clock], and is switched off by
+     [Dejavu.Replayer.attach_io], since replay takes every clock value from
+     the trace and switches threads on the logical clock alone, and back
+     to [cfg.clock] by [Vm.install_live_hooks] (so a warm reset re-arms
+     it) *)
+  mutable clock_on : bool;
 }
 
 let cur vm = vm.threads.(vm.current)

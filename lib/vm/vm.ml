@@ -74,7 +74,9 @@ let live_hooks () : Rt.hooks =
 (* Put the hooks record back in live mode, field by field: [Rt.t.hooks] is
    an immutable field holding a record of mutable closures, and sessions
    (recorder, replayer, baselines, observers) mutate those fields in place.
-   The VM-resident event digest ([Rt.t.ev_on]) is switched off with them.
+   The VM-resident event digest ([Rt.t.ev_on]) is switched off with them,
+   and the virtual clock ([Rt.t.clock_on]), which a replayer switches off,
+   goes back to [cfg.clock].
    Snapshots deliberately do not cover hooks, so a VM being reset for reuse
    must have them reinstalled explicitly. *)
 let install_live_hooks (vm : Rt.t) =
@@ -93,7 +95,8 @@ let install_live_hooks (vm : Rt.t) =
   hk.h_spawn <- None;
   hk.h_lock <- None;
   hk.h_hb <- None;
-  vm.Rt.ev_on <- false
+  vm.Rt.ev_on <- false;
+  vm.Rt.clock_on <- vm.Rt.cfg.Rt.clock
 
 let create ?(config = Rt.default_config) ?(natives = []) ?(inputs = [])
     (program : Bytecode.Decl.program) : t =
@@ -174,6 +177,7 @@ let create ?(config = Rt.default_config) ?(natives = []) ?(inputs = [])
       stats = Rt.fresh_stats ();
       ev_on = false;
       ev_h = Rt.ev_seed;
+      clock_on = config.clock;
     }
   in
   vm
@@ -181,7 +185,8 @@ let create ?(config = Rt.default_config) ?(natives = []) ?(inputs = [])
 (* Reset a VM to a baseline snapshot for reuse (the farm's warm shards).
    [Snapshot.restore] brings back every snapshotted piece of mutable state
    — including the PRNG positions and counters captured at save time — but
-   not the hooks, so those are reinstalled in live mode; a [seed] re-points
+   not the hooks, so those are reinstalled in live mode (which also re-arms
+   the virtual clock a replay switched off); a [seed] re-points
    both environment streams as if the VM had been created under that seed.
 
    For a baseline saved immediately after [create] (nothing run, nothing

@@ -226,6 +226,182 @@ let test_trace_file_roundtrip () =
   let r2, _ = Dejavu.replay ~natives:e.natives e.program loaded in
   Alcotest.(check int) "same replay" r1.Dejavu.state_digest r2.Dejavu.state_digest
 
+(* --- clockless replay ----------------------------------------------------- *)
+
+(* Replay takes every clock value from the trace and switches threads on
+   the logical clock alone, so attaching a replayer switches the
+   per-instruction virtual clock off. Each replay path below must give the
+   same run as a replay that forces the clock back on right after attach,
+   and must end with [env.ticks = 0] and no timer fire — a noise-free
+   counter showing the draws were skipped. *)
+
+type leg = {
+  l_status : string;
+  l_output : string;
+  l_state : int;
+  l_events : int;
+  l_count : int;
+  l_instr : int;
+  l_switch : int;
+  l_leftovers : string list;
+}
+
+let leg (vm : Vm.t) ~events ~count leftovers =
+  {
+    l_status = Vm.string_of_status (Vm.status vm);
+    l_output = Vm.output vm;
+    l_state = Vm.digest vm;
+    l_events = events;
+    l_count = count;
+    l_instr = (Vm.stats vm).Vm.Rt.n_instr;
+    l_switch = (Vm.stats vm).Vm.Rt.n_switch;
+    l_leftovers = leftovers;
+  }
+
+let leg_of vm observer =
+  leg vm ~events:(Vm.Observer.digest observer)
+    ~count:(Vm.Observer.count observer)
+
+let leg_of_run (r : Dejavu.run) =
+  leg r.Dejavu.vm ~events:r.Dejavu.obs_digest ~count:r.Dejavu.obs_count
+
+let check_leg ctx ~expect got =
+  Alcotest.(check string) (ctx ^ "status") expect.l_status got.l_status;
+  Alcotest.(check string) (ctx ^ "output") expect.l_output got.l_output;
+  Alcotest.(check int) (ctx ^ "state digest") expect.l_state got.l_state;
+  Alcotest.(check int) (ctx ^ "event digest") expect.l_events got.l_events;
+  Alcotest.(check int) (ctx ^ "event count") expect.l_count got.l_count;
+  Alcotest.(check int) (ctx ^ "n_instr") expect.l_instr got.l_instr;
+  Alcotest.(check int) (ctx ^ "n_switch") expect.l_switch got.l_switch;
+  Alcotest.(check (list string))
+    (ctx ^ "leftovers") expect.l_leftovers got.l_leftovers
+
+let check_clockless ctx (vm : Vm.t) =
+  Alcotest.(check bool) (ctx ^ "clock off") false vm.Vm.Rt.clock_on;
+  Alcotest.(check int) (ctx ^ "env.ticks") 0 vm.Vm.Rt.env.Vm.Env.ticks;
+  Alcotest.(check int) (ctx ^ "timer fires") 0 vm.Vm.Rt.env.Vm.Env.timer_fires
+
+(* The clock really ran on the reference leg. *)
+let check_clocked ctx (vm : Vm.t) =
+  Alcotest.(check int)
+    (ctx ^ "clock-on ticks = n_instr")
+    (Vm.stats vm).Vm.Rt.n_instr vm.Vm.Rt.env.Vm.Env.ticks
+
+let replay_config =
+  {
+    Vm.Rt.default_config with
+    Vm.Rt.env_cfg = { Vm.Rt.default_config.Vm.Rt.env_cfg with Vm.Env.seed = 424242 };
+  }
+
+(* [Dejavu.replay] spelled out, with the clock forced back on. *)
+let replay_clock_on ctx (e : Workloads.Registry.entry) trace =
+  let vm = Vm.create ~config:replay_config ~natives:e.natives e.program in
+  let session = Dejavu.Replayer.attach vm trace in
+  vm.Vm.Rt.clock_on <- true;
+  let observer = Vm.Observer.attach_digest vm in
+  ignore (Vm.run vm);
+  check_clocked ctx vm;
+  leg_of vm observer (Dejavu.Replayer.check_complete session)
+
+let farm_ctx =
+  { Server.Dispatcher.shard = 0; seq = 0; should_stop = (fun () -> ()) }
+
+let test_clockless_dejavu_replays () =
+  let warm = Server.Job.runner ~shards:1 () in
+  List.iter
+    (fun (e : Workloads.Registry.entry) ->
+      List.iter
+        (fun seed ->
+          let ctx = Fmt.str "%s/seed%d: " e.name seed in
+          let _, trace = Dejavu.record ~natives:e.natives ~seed e.program in
+          let expect = replay_clock_on ctx e trace in
+          (* in memory *)
+          let r, leftovers = Dejavu.replay ~natives:e.natives e.program trace in
+          check_leg (ctx ^ "replay: ") ~expect (leg_of_run r leftovers);
+          check_clockless (ctx ^ "replay: ") r.Dejavu.vm;
+          let path = Filename.temp_file "dvclock" ".trace" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove path)
+            (fun () ->
+              Dejavu.Trace.save path trace;
+              (* streamed from the file *)
+              let r, leftovers =
+                Dejavu.replay_from ~natives:e.natives ~path e.program
+              in
+              check_leg (ctx ^ "replay_from: ") ~expect (leg_of_run r leftovers);
+              check_clockless (ctx ^ "replay_from: ") r.Dejavu.vm;
+              (* the farm's replay job, cold and on a warm pool slot (the
+                 second warm replay is a baseline reset) *)
+              let spec = Server.Job.Replay { workload = e.name; trace = path } in
+              let check_job what (o : Server.Job.output) =
+                Alcotest.(check string)
+                  (ctx ^ what ^ " status") expect.l_status o.Server.Job.o_status;
+                Alcotest.(check string)
+                  (ctx ^ what ^ " state digest")
+                  (Fmt.str "%016x" (expect.l_state land max_int))
+                  o.Server.Job.o_digest;
+                Alcotest.(check int)
+                  (ctx ^ what ^ " leftovers")
+                  (List.length expect.l_leftovers)
+                  o.Server.Job.o_words
+              in
+              check_job "cold job" (Server.Job.run farm_ctx spec);
+              check_job "warm job" (warm.Server.Job.run farm_ctx spec);
+              check_job "reset job" (warm.Server.Job.run farm_ctx spec)))
+        [ 1; 3 ])
+    (Lazy.force Workloads.Registry.all)
+
+(* The baselines' replays attach through the same [Replayer.attach_io]. *)
+let baseline_legs ctx (e : Workloads.Registry.entry) ~seed ~record ~replay =
+  let cfg s =
+    {
+      Vm.Rt.default_config with
+      Vm.Rt.env_cfg = { Vm.Rt.default_config.Vm.Rt.env_cfg with Vm.Env.seed = s };
+    }
+  in
+  let vm = Vm.create ~config:(cfg seed) ~natives:e.natives e.program in
+  let recorded = record vm in
+  ignore (Vm.run vm);
+  let trace = recorded () in
+  let replay_leg ~clock =
+    let vm = Vm.create ~config:(cfg (seed + 77777)) ~natives:e.natives e.program in
+    replay vm trace;
+    if clock then vm.Vm.Rt.clock_on <- true;
+    let observer = Vm.Observer.attach_digest vm in
+    ignore (Vm.run vm);
+    (vm, leg_of vm observer [])
+  in
+  let vm_on, expect = replay_leg ~clock:true in
+  check_clocked ctx vm_on;
+  let vm, got = replay_leg ~clock:false in
+  check_leg ctx ~expect got;
+  check_clockless ctx vm
+
+let test_clockless_baseline_replays () =
+  List.iter
+    (fun (e : Workloads.Registry.entry) ->
+      let digest = Bytecode.Decl.digest e.program in
+      List.iter
+        (fun seed ->
+          let ctx what = Fmt.str "%s/seed%d %s: " e.name seed what in
+          baseline_legs (ctx "icount") e ~seed
+            ~record:(fun vm ->
+              let b = Baselines.Icount.attach_record vm in
+              fun () ->
+                (Dejavu.Session.to_trace b.session digest, Baselines.Icount.deltas_array b))
+            ~replay:(fun vm (trace, deltas) ->
+              ignore (Baselines.Icount.attach_replay vm trace deltas));
+          baseline_legs (ctx "switch-map") e ~seed
+            ~record:(fun vm ->
+              let b = Baselines.Switch_map.attach_record vm in
+              fun () ->
+                ( Dejavu.Session.to_trace b.session digest,
+                  Baselines.Switch_map.entries_array b ))
+            ~replay:(fun vm (trace, entries) ->
+              ignore (Baselines.Switch_map.attach_replay vm trace entries)))
+        [ 1; 3 ])
+    (Lazy.force Workloads.Registry.all)
+
 let () =
   Alcotest.run "dejavu"
     [
@@ -259,5 +435,10 @@ let () =
           quick "state digests symmetric" test_symmetric_state_digests;
           quick "asymmetry is visible" test_asymmetry_is_visible;
           quick "ring pinned across GC" test_ring_is_pinned;
+        ] );
+      ( "clockless replay",
+        [
+          quick "replay, replay_from and farm jobs" test_clockless_dejavu_replays;
+          quick "icount and switch-map baselines" test_clockless_baseline_replays;
         ] );
     ]

@@ -339,6 +339,102 @@ let test_reader_corrupt () =
             | exception T.Format_error _ -> ()
             | exception T.End_of_tape _ -> ()))
 
+(* Every section of a file, drained through a Reader of [chunk_words]. *)
+let drain_file ~chunk_words path =
+  let r = T.Reader.open_file ~chunk_words path in
+  Fun.protect
+    ~finally:(fun () -> T.Reader.close r)
+    (fun () ->
+      let tp = T.Reader.tapes r in
+      let drain k =
+        Array.init (T.Tape.remaining tp.(k)) (fun _ -> T.Tape.read tp.(k))
+      in
+      let t =
+        mk ~digest:(T.Reader.program_digest r)
+          ~analysis_hash:(T.Reader.analysis_hash r) ~switches:(drain 0)
+          ~clocks:(drain 1) ~inputs:(drain 2) ~natives:(drain 3) ~picks:(drain 4)
+          ()
+      in
+      Array.iter
+        (fun tp ->
+          match T.Tape.read tp with
+          | exception T.End_of_tape _ -> ()
+          | _ -> Alcotest.fail "tape read past its section")
+        tp;
+      t)
+
+(* The streamed tapes equal the batch decoder's for every chunk size —
+   one value per refill, refills ending mid-chunk, and the default. *)
+let check_sweep ctx path =
+  let whole = T.of_bytes (read_file path) in
+  List.iter
+    (fun chunk_words ->
+      Alcotest.(check bool)
+        (Fmt.str "%s: chunk_words %d = of_bytes" ctx chunk_words)
+        true
+        (trace_eq whole (drain_file ~chunk_words path)))
+    [ 1; 2; 3; 1024 ]
+
+let test_reader_chunk_sweep_registry () =
+  with_tmp (fun path ->
+      List.iter
+        (fun (e : Workloads.Registry.entry) ->
+          let _, trace = Dejavu.record ~natives:e.natives ~seed:1 e.program in
+          T.save path trace;
+          check_sweep e.name path)
+        (Lazy.force Workloads.Registry.all))
+
+(* Maximum-width (9-byte) varints mixed with 1-byte ones, in every
+   section including picks: a refill reads at most 9 bytes per value plus
+   one, clipped at the section end, so its block routinely ends inside
+   the next chunk's first varint. *)
+let test_reader_max_width_straddle () =
+  let wide i =
+    match i mod 5 with
+    | 0 -> max_int
+    | 1 -> i
+    | 2 -> min_int
+    | 3 -> -i
+    | _ -> if i mod 2 = 0 then max_int - i else min_int + i
+  in
+  let arr n = Array.init n wide in
+  let t =
+    mk ~digest:"wide" ~analysis_hash:"a" ~switches:(arr 37) ~clocks:(arr 2)
+      ~inputs:[| max_int |] ~natives:(arr 11) ~picks:(arr 5) ()
+  in
+  with_tmp (fun path ->
+      T.save path t;
+      Alcotest.(check bool) "of_bytes" true (trace_eq t (T.of_bytes (read_file path)));
+      List.iter
+        (fun chunk_words ->
+          Alcotest.(check bool)
+            (Fmt.str "chunk_words %d" chunk_words)
+            true
+            (trace_eq t (drain_file ~chunk_words path)))
+        [ 1; 2; 3; 4; 5; 7; 1024 ];
+      (* an empty chunk would make every refill succeed without progress *)
+      match T.Reader.open_file ~chunk_words:0 path with
+      | exception Invalid_argument _ -> ()
+      | r ->
+        T.Reader.close r;
+        Alcotest.fail "chunk_words 0 accepted")
+
+(* The open-time scan reads 64 KiB blocks: slide the clocks section's
+   3-byte count varint across the first block edge, one byte at a time. *)
+let test_reader_count_straddles_scan_block () =
+  with_tmp (fun path ->
+      for n = 65_500 to 65_540 do
+        let t =
+          mk ~digest:"scan" ~switches:(Array.init n (fun i -> (i mod 100) - 50))
+            ~clocks:(Array.init 20_000 (fun i -> i)) ~inputs:[| 7 |] ()
+        in
+        T.save path t;
+        Alcotest.(check bool)
+          (Fmt.str "%d switches" n)
+          true
+          (trace_eq t (drain_file ~chunk_words:1024 path))
+      done)
+
 let () =
   Alcotest.run "trace"
     [
@@ -371,5 +467,11 @@ let () =
           quick "reader roundtrip" test_reader_roundtrip;
           quick "reader truncation" test_reader_truncation;
           quick "reader corrupt" test_reader_corrupt;
+          quick "reader chunk sweep over registry traces"
+            test_reader_chunk_sweep_registry;
+          quick "reader max-width varints straddle refills"
+            test_reader_max_width_straddle;
+          quick "reader count straddles the scan block"
+            test_reader_count_straddles_scan_block;
         ] );
     ]

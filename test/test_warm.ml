@@ -237,6 +237,56 @@ let test_warm_cold_identity_registry () =
         (2 * List.length (all ()))
         s.Server.Warm.w_hits)
 
+(* A replay switches the slot's virtual clock off; the reset before the
+   next job must switch it back on. For every catalogued workload, a pool
+   slot that served a replay and was then reset must record exactly what a
+   cold [record_to] records — trace bytes and state digest. Without the
+   re-arm the slot would record a run the timer never preempts. *)
+let test_replay_then_record () =
+  with_tmp_dir (fun dir ->
+      let pool = Server.Warm.create ~cap:1 () in
+      let cold_path = Filename.concat dir "cold.trace" in
+      let warm_path = Filename.concat dir "warm.trace" in
+      List.iter
+        (fun (e : Workloads.Registry.entry) ->
+          let ctx = e.name ^ ": " in
+          let cold, _ =
+            Dejavu.record_to ~natives:e.natives ~seed:1 ~path:cold_path
+              e.program
+          in
+          (* boot the slot and replay the cold trace on it *)
+          let vm = Server.Warm.acquire pool e ~seed:1 in
+          let reader = Dejavu.Trace.Reader.open_file cold_path in
+          Fun.protect
+            ~finally:(fun () -> Dejavu.Trace.Reader.close reader)
+            (fun () ->
+              ignore (Dejavu.Replayer.attach_stream vm reader);
+              ignore (Vm.run vm));
+          Alcotest.(check bool) (ctx ^ "replay ran clockless") false
+            vm.Vm.Rt.clock_on;
+          Alcotest.(check int) (ctx ^ "replay ticks") 0
+            vm.Vm.Rt.env.Vm.Env.ticks;
+          (* the same slot, reset, records *)
+          let vm' = Server.Warm.acquire pool e ~seed:1 in
+          Alcotest.(check bool) (ctx ^ "same slot") true (vm == vm');
+          Alcotest.(check bool) (ctx ^ "reset re-arms the clock") true
+            vm.Vm.Rt.clock_on;
+          let writer = Dejavu.Trace.Writer.create warm_path in
+          let session = Dejavu.Recorder.attach_stream vm writer in
+          ignore (Vm.run vm);
+          ignore (Dejavu.Recorder.finish_stream session writer);
+          Alcotest.(check bool)
+            (ctx ^ "trace bytes equal cold")
+            true
+            (String.equal (read_file cold_path) (read_file warm_path));
+          Alcotest.(check int)
+            (ctx ^ "state digest equals cold")
+            cold.Dejavu.state_digest (Vm.digest vm))
+        (all ());
+      let s = Server.Warm.stats pool in
+      Alcotest.(check int)
+        "every record was a reset" (List.length (all ())) s.Server.Warm.w_hits)
+
 (* A job abandoned mid-run (cancelled at a poll point) leaves its pool VM
    mid-program; the next acquire must still produce a cold-identical
    record. *)
@@ -450,6 +500,7 @@ let () =
         [
           quick "registry-wide warm = cold" test_warm_cold_identity_registry;
           quick "after a cancelled job" test_warm_after_cancelled_job;
+          quick "replay then reset then record" test_replay_then_record;
         ] );
       ("placement", [ quick "policy" test_placement_policy ]);
       ( "dispatcher",
