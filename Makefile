@@ -1,7 +1,7 @@
 # Convenience targets; everything below is plain dune.
 
 .PHONY: all build test smoke batch-smoke bench-farm regir-smoke explore-smoke \
-	perfbench-smoke bench lint clean
+	trace-smoke perfbench-smoke bench lint clean
 
 all: build
 
@@ -48,6 +48,30 @@ regir-smoke:
 explore-smoke:
 	rm -rf _explore && dune exec bin/dvrun.exe -- explore atomicity \
 	  --out _explore --expect-failure
+
+# Malformed-trace gate: record fig1ab, then make a half-length copy of the
+# trace and a copy with bytes appended. For each copy, `trace-dump` and
+# `replay` must both exit 2 and print the same `malformed trace` message:
+# both run the one trace decoder (Trace.Reader).
+TRACE_SMOKE = _trace_smoke
+DVRUN = _build/default/bin/dvrun.exe
+
+trace-smoke:
+	@dune build bin/dvrun.exe && rm -rf $(TRACE_SMOKE) && mkdir $(TRACE_SMOKE) && \
+	$(DVRUN) record fig1ab --seed 1 -o $(TRACE_SMOKE)/t.trace > /dev/null && \
+	n=$$(wc -c < $(TRACE_SMOKE)/t.trace) && \
+	head -c $$((n / 2)) $(TRACE_SMOKE)/t.trace > $(TRACE_SMOKE)/half.trace && \
+	cp $(TRACE_SMOKE)/t.trace $(TRACE_SMOKE)/long.trace && \
+	printf 'appended' >> $(TRACE_SMOKE)/long.trace && \
+	for c in half long; do \
+	  f=$(TRACE_SMOKE)/$$c.trace; \
+	  $(DVRUN) trace-dump $$f > /dev/null 2> $$f.dump.err; d=$$?; \
+	  $(DVRUN) replay fig1ab -i $$f > /dev/null 2> $$f.replay.err; r=$$?; \
+	  echo "trace-smoke $$c: trace-dump exit $$d: $$(cat $$f.dump.err)"; \
+	  echo "trace-smoke $$c: replay exit $$r: $$(cat $$f.replay.err)"; \
+	  [ $$d -eq 2 ] && [ $$r -eq 2 ] && grep -q 'malformed trace' $$f.dump.err && \
+	    cmp -s $$f.dump.err $$f.replay.err || exit 1; \
+	done
 
 # Benchmark oracle gate: run each BENCHMARK.json workload for a short
 # timed pass and fail unless its JSON result (the last line run.py prints)

@@ -40,6 +40,9 @@ let finish_run vm session observer =
     session = Some session;
   }
 
+let seeded (config : Vm.Rt.config) seed =
+  { config with Vm.Rt.env_cfg = { config.Vm.Rt.env_cfg with Vm.Env.seed } }
+
 (* Run a program in record mode. The environment (seed) supplies the
    non-determinism being captured. [observe] attaches the event-sequence
    digest observer the roundtrip check compares. It installs no hook: the
@@ -49,30 +52,43 @@ let finish_run vm session observer =
    the recording instrumentation alone turn it off. *)
 let record ?(config = Vm.Rt.default_config) ?(natives = []) ?(inputs = [])
     ?(seed = 1) ?limit ?(observe = true) program : run * Trace.t =
-  let config =
-    { config with Vm.Rt.env_cfg = { config.Vm.Rt.env_cfg with Vm.Env.seed } }
-  in
-  let vm = Vm.create ~config ~natives ~inputs program in
+  let vm = Vm.create ~config:(seeded config seed) ~natives ~inputs program in
   let session = Recorder.attach vm in
   let observer = if observe then Some (Vm.Observer.attach_digest vm) else None in
   ignore (Vm.run ?limit vm);
   let run = finish_run vm session observer in
   (run, Recorder.finish session)
 
-(* Replay a trace. The seed deliberately defaults to something different
-   from any recording seed: replay must not depend on the environment. It
-   cannot: the replayer takes clock values, inputs and native outcomes
-   from the trace and switches the per-instruction virtual clock off, so
-   the seeded streams are never drawn from ([env.ticks] stays 0). *)
-let replay ?(config = Vm.Rt.default_config) ?(natives = []) ?(seed = 424242)
-    ?limit ?(observe = true) program (trace : Trace.t) : run * string list =
-  let config =
-    { config with Vm.Rt.env_cfg = { config.Vm.Rt.env_cfg with Vm.Env.seed } }
+(* The one replay body, behind [replay], [replay_from] and the farm's
+   replay jobs: [attach], then [drive] the VM. A divergence — the trace
+   refused at attach (wrong program or audit) or departing mid-run —
+   becomes the VM's [Fatal] replay-divergence status, and so does a
+   picks-bearing trace steering dispatch to a thread that is not ready
+   here (the schedule does not fit this program or state). [Error msg]
+   when the trace was refused at attach. *)
+let replay_attached (vm : Vm.t) ~attach ~drive : (Session.t, string) result =
+  let diverged msg =
+    vm.Vm.Rt.status <- Vm.Rt.Fatal ("replay divergence: " ^ msg)
   in
-  let vm = Vm.create ~config ~natives program in
-  match Replayer.attach vm trace with
+  match attach vm with
   | exception Session.Divergence msg ->
-    vm.Vm.Rt.status <- Vm.Rt.Fatal ("replay divergence: " ^ msg);
+    diverged msg;
+    Error msg
+  | session ->
+    (try drive vm
+     with Session.Divergence msg | Vm.Sched.Sched_error msg -> diverged msg);
+    Ok session
+
+let replay_run ?limit ~observe vm attach : run * string list =
+  let observer = ref None in
+  match
+    replay_attached vm ~attach ~drive:(fun vm ->
+        if observe then observer := Some (Vm.Observer.attach_digest vm);
+        ignore (Vm.run ?limit vm))
+  with
+  | Ok session ->
+    (finish_run vm session !observer, Replayer.check_complete session)
+  | Error msg ->
     ( {
         vm;
         status = Vm.status vm;
@@ -83,19 +99,16 @@ let replay ?(config = Vm.Rt.default_config) ?(natives = []) ?(seed = 424242)
         session = None;
       },
       [ msg ] )
-  | session ->
-    let observer =
-      if observe then Some (Vm.Observer.attach_digest vm) else None
-    in
-    (try ignore (Vm.run ?limit vm) with
-    | Session.Divergence msg ->
-      vm.Vm.Rt.status <- Vm.Rt.Fatal ("replay divergence: " ^ msg)
-    | Vm.Sched.Sched_error msg ->
-      (* a picks-bearing trace steered dispatch to a thread that is not
-         ready here — the schedule does not fit this program/state *)
-      vm.Vm.Rt.status <- Vm.Rt.Fatal ("replay divergence: " ^ msg));
-    let run = finish_run vm session observer in
-    (run, Replayer.check_complete session)
+
+(* Replay a trace. The seed deliberately defaults to something different
+   from any recording seed: replay must not depend on the environment. It
+   cannot: the replayer takes clock values, inputs and native outcomes
+   from the trace and switches the per-instruction virtual clock off, so
+   the seeded streams are never drawn from ([env.ticks] stays 0). *)
+let replay ?(config = Vm.Rt.default_config) ?(natives = []) ?(seed = 424242)
+    ?limit ?(observe = true) program (trace : Trace.t) : run * string list =
+  let vm = Vm.create ~config:(seeded config seed) ~natives program in
+  replay_run ?limit ~observe vm (fun vm -> Replayer.attach vm trace)
 
 (* Record straight into a trace file through the streaming writer: bounded
    recorder-side memory, temp-file + atomic-rename on finish, and abort on
@@ -103,10 +116,7 @@ let replay ?(config = Vm.Rt.default_config) ?(natives = []) ?(seed = 424242)
 let record_to ?(config = Vm.Rt.default_config) ?(natives = []) ?(inputs = [])
     ?(seed = 1) ?limit ?(observe = true) ?buf_words ~path program :
     run * Trace.sizes =
-  let config =
-    { config with Vm.Rt.env_cfg = { config.Vm.Rt.env_cfg with Vm.Env.seed } }
-  in
-  let vm = Vm.create ~config ~natives ~inputs program in
+  let vm = Vm.create ~config:(seeded config seed) ~natives ~inputs program in
   let writer = Trace.Writer.create ?buf_words path in
   match
     let session = Recorder.attach_stream vm writer in
@@ -127,38 +137,13 @@ let record_to ?(config = Vm.Rt.default_config) ?(natives = []) ?(inputs = [])
 let replay_from ?(config = Vm.Rt.default_config) ?(natives = [])
     ?(seed = 424242) ?limit ?(observe = true) ?chunk_words ~path program :
     run * string list =
-  let config =
-    { config with Vm.Rt.env_cfg = { config.Vm.Rt.env_cfg with Vm.Env.seed } }
-  in
-  let vm = Vm.create ~config ~natives program in
+  let vm = Vm.create ~config:(seeded config seed) ~natives program in
   let reader = Trace.Reader.open_file ?chunk_words path in
   Fun.protect
     ~finally:(fun () -> Trace.Reader.close reader)
     (fun () ->
-      match Replayer.attach_stream vm reader with
-      | exception Session.Divergence msg ->
-        vm.Vm.Rt.status <- Vm.Rt.Fatal ("replay divergence: " ^ msg);
-        ( {
-            vm;
-            status = Vm.status vm;
-            output = "";
-            state_digest = 0;
-            obs_digest = 0;
-            obs_count = 0;
-            session = None;
-          },
-          [ msg ] )
-      | session ->
-        let observer =
-          if observe then Some (Vm.Observer.attach_digest vm) else None
-        in
-        (try ignore (Vm.run ?limit vm) with
-        | Session.Divergence msg ->
-          vm.Vm.Rt.status <- Vm.Rt.Fatal ("replay divergence: " ^ msg)
-        | Vm.Sched.Sched_error msg ->
-          vm.Vm.Rt.status <- Vm.Rt.Fatal ("replay divergence: " ^ msg));
-        let run = finish_run vm session observer in
-        (run, Replayer.check_complete session))
+      replay_run ?limit ~observe vm (fun vm ->
+          Replayer.attach_stream vm reader))
 
 type roundtrip = {
   recorded : run;

@@ -33,20 +33,19 @@ let attach_io (vm : Vm.Rt.t) (s : Session.t) =
       Ring.put s.ring nat.nat_id;
       outcome)
 
-let attach (vm : Vm.Rt.t) : Session.t =
-  let s = Session.for_record vm in
+(* The full DejaVu record attachment over a session's tapes: fresh
+   growable ones ([attach]) or the writer's bounded buffers
+   ([attach_stream]), which keep recorder-side trace memory O(buffer) no
+   matter how long the run is. *)
+let attach_session (vm : Vm.Rt.t) (s : Session.t) =
   attach_io vm s;
   vm.hooks.h_yieldpoint <- Figure2.record s;
   s
 
-(* Streaming record attachment: identical hooks, but every tape drains into
-   the writer's bounded buffers, so the recorder holds O(buffer) trace
-   memory no matter how long the run is. *)
-let attach_stream (vm : Vm.Rt.t) (w : Trace.Writer.t) : Session.t =
-  let s = Session.for_record_stream vm w in
-  attach_io vm s;
-  vm.hooks.h_yieldpoint <- Figure2.record s;
-  s
+let attach vm = attach_session vm (Session.for_record vm)
+
+let attach_stream vm w =
+  attach_session vm (Session.create vm Session.Record (Trace.Writer.tapes w))
 
 (* Finish a recording: produce the trace, stamped with the program digest
    and the static race audit's fingerprint (memoized per program, so
@@ -56,16 +55,9 @@ let finish (s : Session.t) : Trace.t =
     ~analysis_hash:(Audit.hash_for s.vm.program)
     (Bytecode.Decl.digest s.vm.program)
 
-(* Seal a streamed recording into its destination file (temp file + atomic
-   rename inside the writer). On any error the writer is aborted, so a
-   cancelled or crashed recording never leaves a partial trace behind. *)
+(* Seal a streamed recording into its destination file; the writer aborts
+   itself on any failure, so no partial trace is left behind. *)
 let finish_stream (s : Session.t) (w : Trace.Writer.t) : Trace.sizes =
-  match
-    Trace.Writer.finish w
-      ~program_digest:(Bytecode.Decl.digest s.vm.program)
-      ~analysis_hash:(Audit.hash_for s.vm.program)
-  with
-  | sizes -> sizes
-  | exception e ->
-    Trace.Writer.abort w;
-    raise e
+  Trace.Writer.finish w
+    ~program_digest:(Bytecode.Decl.digest s.vm.program)
+    ~analysis_hash:(Audit.hash_for s.vm.program)

@@ -24,5 +24,6 @@ val attach_stream : Vm.Rt.t -> Trace.Writer.t -> Session.t
 val finish : Session.t -> Trace.t
 
 (** Seal a streamed recording into its destination file (atomic rename);
-    aborts the writer on error so no partial trace is left behind. *)
+    {!Trace.Writer.finish} aborts the writer on error, so no partial trace
+    is left behind. *)
 val finish_stream : Session.t -> Trace.Writer.t -> Trace.sizes

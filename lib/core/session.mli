@@ -34,21 +34,19 @@ type t = {
   mutable switches_done : int;
 }
 
-(** Create a record-mode session: fresh tapes, symmetric initialization
-    (warm-up I/O, ring allocation). *)
+(** [create vm mode tapes] is a session over five tapes in section order
+    ({!Trace.section_names}): growable, a trace's arrays, a
+    {!Trace.Writer}'s sink-wired buffers or a {!Trace.Reader}'s
+    chunk-refilled views. Symmetric initialization (warm-up I/O, ring
+    allocation) in both modes; a replay session primes [nyp] with the
+    first recorded switch delta. *)
+val create : Vm.Rt.t -> mode -> Trace.Tape.t array -> t
+
+(** A record-mode session over fresh growable tapes. *)
 val for_record : Vm.Rt.t -> t
 
-(** Create a replay-mode session over a trace; primes [nyp] with the first
-    recorded switch delta. *)
+(** A replay-mode session over a materialized trace. *)
 val for_replay : Vm.Rt.t -> Trace.t -> t
-
-(** Record-mode session whose tapes drain into the writer's bounded
-    buffers: recorder-side trace memory stays constant in event count. *)
-val for_record_stream : Vm.Rt.t -> Trace.Writer.t -> t
-
-(** Replay-mode session over the reader's chunk-refilled tapes (O(1)
-    memory in trace length); primes [nyp] like {!for_replay}. *)
-val for_replay_stream : Vm.Rt.t -> Trace.Reader.t -> t
 
 (** True when any tape is sink- or refill-wired; such sessions refuse
     {!snapshot}/{!restore} (checkpoints cannot rewind flushed data). *)

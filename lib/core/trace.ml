@@ -15,7 +15,9 @@
 
    Tapes are flat integer sequences; the file format is a zigzag-varint
    stream with a header carrying a structural digest of the program so a
-   trace cannot be replayed against the wrong code. *)
+   trace cannot be replayed against the wrong code. The layout is stated
+   once (below [varint_size]); [to_bytes] and the streaming [Writer] encode
+   it, and the [Reader] — over a file or a string — is its only decoder. *)
 
 exception End_of_tape of string
 
@@ -271,114 +273,85 @@ let varint_size v =
   let rec go z n = if z lsr 7 = 0 then n else go (z lsr 7) (n + 1) in
   go z 1
 
-let put_section buf arr =
-  put_varint buf (Array.length arr);
-  Array.iter (put_varint buf) arr
+(* --- the DJVU2 layout -------------------------------------------------- *)
 
-let get_section s pos =
-  let b = Bytes.unsafe_of_string s and lim = String.length s in
-  let p = ref pos in
-  let n = get_varint_bytes b ~lim p in
-  if n < 0 then raise (Format_error "negative section length");
-  let arr = Array.make n 0 in
-  for i = 0 to n - 1 do
-    arr.(i) <- get_varint_bytes b ~lim p
-  done;
-  (arr, !p)
+(* A file is [magic], two length-prefixed header strings (program digest,
+   audit hash), then the sections in [section_names] order, each a count
+   varint followed by that many value varints. The picks section is
+   written only when non-empty, so every trace without dispatch overrides
+   keeps the original four-section layout bit-for-bit; a file that ends
+   after natives has no picks. [to_bytes], [encoded_size], the [Writer]
+   and the [Reader] all work from the definitions below. *)
+let section_names = [| "switches"; "clocks"; "inputs"; "natives"; "picks" |]
+
+let optional_section = 4
+
+let sections (t : t) = [| t.switches; t.clocks; t.inputs; t.natives; t.picks |]
+
+let tapes (t : t) = Array.map2 Tape.of_array section_names (sections t)
+
+(* [f i n] for every section a file holds, given each section's count. *)
+let iter_written counts f =
+  Array.iteri (fun i n -> if i < optional_section || n > 0 then f i n) counts
+
+let put_header buf ~program_digest ~analysis_hash =
+  Buffer.add_string buf magic;
+  put_varint buf (String.length program_digest);
+  Buffer.add_string buf program_digest;
+  put_varint buf (String.length analysis_hash);
+  Buffer.add_string buf analysis_hash
+
+(* A section body: the first [len] values of [data]. *)
+let put_values buf data len =
+  for k = 0 to len - 1 do
+    put_varint buf data.(k)
+  done
+
+(* Byte size of a file whose sections hold [counts] values encoded in
+   [bytes] bytes each, computed arithmetically. *)
+let file_size ~program_digest ~analysis_hash counts bytes =
+  let str s = varint_size (String.length s) + String.length s in
+  let n =
+    ref (String.length magic + str program_digest + str analysis_hash)
+  in
+  iter_written counts (fun i c -> n := !n + varint_size c + bytes.(i));
+  !n
 
 let to_bytes (t : t) : string =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  put_varint buf (String.length t.program_digest);
-  Buffer.add_string buf t.program_digest;
-  put_varint buf (String.length t.analysis_hash);
-  Buffer.add_string buf t.analysis_hash;
-  put_section buf t.switches;
-  put_section buf t.clocks;
-  put_section buf t.inputs;
-  put_section buf t.natives;
-  (* the picks section is written only when present, so every trace without
-     dispatch overrides keeps the original 4-section layout bit-for-bit *)
-  if Array.length t.picks > 0 then put_section buf t.picks;
+  put_header buf ~program_digest:t.program_digest
+    ~analysis_hash:t.analysis_hash;
+  let secs = sections t in
+  iter_written (Array.map Array.length secs) (fun i n ->
+      put_varint buf n;
+      put_values buf secs.(i) n);
   Buffer.contents buf
 
-let of_bytes (s : string) : t =
-  let ml = String.length magic in
-  if String.length s < ml || String.sub s 0 ml <> magic then
-    raise (Format_error "bad magic");
-  let dlen, pos = get_varint s ml in
-  if dlen < 0 || pos + dlen > String.length s then
-    raise (Format_error "bad digest length");
-  let program_digest = String.sub s pos dlen in
-  let pos = pos + dlen in
-  let hlen, pos = get_varint s pos in
-  if hlen < 0 || pos + hlen > String.length s then
-    raise (Format_error "bad analysis-hash length");
-  let analysis_hash = String.sub s pos hlen in
-  let pos = pos + hlen in
-  let switches, pos = get_section s pos in
-  let clocks, pos = get_section s pos in
-  let inputs, pos = get_section s pos in
-  let natives, pos = get_section s pos in
-  let picks, pos =
-    if pos = String.length s then ([||], pos) else get_section s pos
-  in
-  if pos <> String.length s then raise (Format_error "trailing bytes");
-  { program_digest; analysis_hash; switches; clocks; inputs; natives; picks }
-
-(* Byte size of the serialized form, computed arithmetically — no buffer is
-   materialized, so statistics on a large trace cost no allocation spike. *)
+(* No buffer is materialized, so statistics on a large trace cost no
+   allocation spike. *)
 let encoded_size (t : t) : int =
-  let section arr =
-    Array.fold_left
-      (fun acc v -> acc + varint_size v)
-      (varint_size (Array.length arr))
-      arr
-  in
-  String.length magic
-  + varint_size (String.length t.program_digest)
-  + String.length t.program_digest
-  + varint_size (String.length t.analysis_hash)
-  + String.length t.analysis_hash
-  + section t.switches + section t.clocks + section t.inputs
-  + section t.natives
-  + (if Array.length t.picks > 0 then section t.picks else 0)
+  let secs = sections t in
+  file_size ~program_digest:t.program_digest ~analysis_hash:t.analysis_hash
+    (Array.map Array.length secs)
+    (Array.map
+       (Array.fold_left (fun acc v -> acc + varint_size v) 0)
+       secs)
 
-(* Write via a temp file and atomic rename: a crash (or cancellation)
-   mid-write never leaves a truncated trace under the final name. *)
-let save path t =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () -> output_string oc (to_bytes t))
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
-
-let load path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  of_bytes s
+let sizes_of_counts counts ~total_bytes =
+  {
+    n_switches = counts.(0);
+    n_clock_reads = counts.(1) / 2;
+    n_inputs = counts.(2);
+    n_native_words = counts.(3);
+    n_picks = counts.(4);
+    total_words = Array.fold_left ( + ) 0 counts;
+    total_bytes;
+  }
 
 let sizes (t : t) : sizes =
-  let total_words =
-    Array.length t.switches + Array.length t.clocks + Array.length t.inputs
-    + Array.length t.natives + Array.length t.picks
-  in
-  {
-    n_switches = Array.length t.switches;
-    n_clock_reads = Array.length t.clocks / 2;
-    n_inputs = Array.length t.inputs;
-    n_native_words = Array.length t.natives;
-    n_picks = Array.length t.picks;
-    total_words;
-    total_bytes = encoded_size t;
-  }
+  sizes_of_counts
+    (Array.map Array.length (sections t))
+    ~total_bytes:(encoded_size t)
 
 let pp_sizes ppf s =
   Fmt.pf ppf
@@ -389,19 +362,13 @@ let pp_sizes ppf s =
 
 (* --- streaming writer -------------------------------------------------- *)
 
-(* The DJVU2 layout prefixes each section with its element count, which is
+(* The layout prefixes each section with its element count, which is
    unknown until the run ends — so a bounded-memory recording spills each
    tape's varint-encoded elements to its own scratch file as the in-memory
    buffer fills, and [finish] stitches header + counts + spill contents into
    the final file (temp file + atomic rename). The result is byte-identical
    to [to_bytes] of the materialized trace. *)
 module Writer = struct
-  (* The first four sections are mandatory in the file; the trailing picks
-     section is stitched in only when non-empty (mirroring [to_bytes]). *)
-  let stream_names = [| "switches"; "clocks"; "inputs"; "natives"; "picks" |]
-
-  let mandatory_streams = 4
-
   type stream = {
     w_spill : string;
     mutable w_oc : out_channel option;
@@ -419,6 +386,9 @@ module Writer = struct
   }
 
   let default_buf_words = 4096
+
+  let buffered_words w =
+    Array.fold_left (fun acc (t : Tape.t) -> acc + t.len) 0 w.w_tapes
 
   let create ?(buf_words = default_buf_words) path =
     (* If a later open fails (unwritable dir, ENOSPC), the writer is never
@@ -441,7 +411,7 @@ module Writer = struct
             in
             opened := s :: !opened;
             s)
-          stream_names
+          section_names
       with exn ->
         List.iter
           (fun s ->
@@ -465,35 +435,21 @@ module Writer = struct
               in
               (* high-water mark sampled at the flush boundary, where the
                  buffered total is maximal *)
-              let buffered =
-                Array.fold_left
-                  (fun acc (t : Tape.t) -> acc + t.len)
-                  0 w.w_tapes
-              in
-              if buffered > w.peak_words then w.peak_words <- buffered;
+              w.peak_words <- max w.peak_words (buffered_words w);
               Buffer.clear s.w_buf;
-              for k = 0 to len - 1 do
-                put_varint s.w_buf data.(k)
-              done;
+              put_values s.w_buf data len;
               Buffer.output_buffer oc s.w_buf;
               s.w_count <- s.w_count + len;
               s.w_bytes <- s.w_bytes + Buffer.length s.w_buf;
               Buffer.clear s.w_buf))
-        stream_names
+        section_names
     in
     w.w_tapes <- tapes;
     w
 
   let tapes w = w.w_tapes
 
-  let peak_buffered_words w =
-    let buffered =
-      Array.fold_left (fun acc (t : Tape.t) -> acc + t.len) 0 w.w_tapes
-    in
-    max w.peak_words buffered
-
-  let buffered_words w =
-    Array.fold_left (fun acc (t : Tape.t) -> acc + t.len) 0 w.w_tapes
+  let peak_buffered_words w = max w.peak_words (buffered_words w)
 
   (* Remove scratch state; safe to call more than once, and after [finish].
      A cancelled recording aborts instead of finishing, so no partial trace
@@ -524,191 +480,165 @@ module Writer = struct
     in
     go ()
 
+  (* Every step — flushing the tapes, closing the spill channels (a
+     [close_out] flushes, so ENOSPC can surface there), writing and renaming
+     the temp file — runs under one guard: any failure aborts the writer,
+     leaving neither scratch files nor a partial trace behind. *)
   let finish w ~program_digest ~analysis_hash : sizes =
     if w.closed then invalid_arg "Trace.Writer.finish: finished writer";
-    (match
-       (* drain the tail of every tape, then detach the spill channels *)
-       Array.iter Tape.flush w.w_tapes
-     with
-    | () -> ()
+    match
+      Array.iter Tape.flush w.w_tapes;
+      Array.iter
+        (fun s ->
+          match s.w_oc with
+          | Some oc ->
+            close_out oc;
+            s.w_oc <- None
+          | None -> ())
+        w.streams;
+      let counts = Array.map (fun s -> s.w_count) w.streams in
+      let tmp = w.path ^ ".tmp" in
+      let oc = open_out_bin tmp in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          let buf = w.streams.(0).w_buf in
+          Buffer.clear buf;
+          put_header buf ~program_digest ~analysis_hash;
+          Buffer.output_buffer oc buf;
+          iter_written counts (fun i n ->
+              Buffer.clear buf;
+              put_varint buf n;
+              Buffer.output_buffer oc buf;
+              let ic = open_in_bin w.streams.(i).w_spill in
+              Fun.protect
+                ~finally:(fun () -> close_in_noerr ic)
+                (fun () -> copy_file ic oc));
+          close_out oc);
+      Sys.rename tmp w.path;
+      counts
+    with
+    | counts ->
+      Array.iter
+        (fun s -> try Sys.remove s.w_spill with Sys_error _ -> ())
+        w.streams;
+      w.closed <- true;
+      sizes_of_counts counts
+        ~total_bytes:
+          (file_size ~program_digest ~analysis_hash counts
+             (Array.map (fun s -> s.w_bytes) w.streams))
     | exception e ->
       abort w;
-      raise e);
-    Array.iter
-      (fun s ->
-        match s.w_oc with
-        | Some oc ->
-          close_out oc;
-          s.w_oc <- None
-        | None -> ())
-      w.streams;
-    let tmp = w.path ^ ".tmp" in
-    (try
-       let oc = open_out_bin tmp in
-       Fun.protect
-         ~finally:(fun () -> close_out_noerr oc)
-         (fun () ->
-           Buffer.clear w.streams.(0).w_buf;
-           let hdr = w.streams.(0).w_buf in
-           Buffer.add_string hdr magic;
-           put_varint hdr (String.length program_digest);
-           Buffer.add_string hdr program_digest;
-           put_varint hdr (String.length analysis_hash);
-           Buffer.add_string hdr analysis_hash;
-           Buffer.output_buffer oc hdr;
-           Buffer.clear hdr;
-           Array.iteri
-             (fun i s ->
-               if i < mandatory_streams || s.w_count > 0 then begin
-                 let cnt = Buffer.create 10 in
-                 put_varint cnt s.w_count;
-                 Buffer.output_buffer oc cnt;
-                 let ic = open_in_bin s.w_spill in
-                 Fun.protect
-                   ~finally:(fun () -> close_in_noerr ic)
-                   (fun () -> copy_file ic oc)
-               end)
-             w.streams);
-       Sys.rename tmp w.path
-     with e ->
-       abort w;
-       raise e);
-    let counts = Array.map (fun s -> s.w_count) w.streams in
-    let total_words = Array.fold_left ( + ) 0 counts in
-    let total_bytes =
-      String.length magic
-      + varint_size (String.length program_digest)
-      + String.length program_digest
-      + varint_size (String.length analysis_hash)
-      + String.length analysis_hash
-      + snd
-          (Array.fold_left
-             (fun (i, acc) s ->
-               let acc =
-                 if i < mandatory_streams || s.w_count > 0 then
-                   acc + varint_size s.w_count + s.w_bytes
-                 else acc
-               in
-               (i + 1, acc))
-             (0, 0) w.streams)
-    in
-    let sizes =
-      {
-        n_switches = counts.(0);
-        n_clock_reads = counts.(1) / 2;
-        n_inputs = counts.(2);
-        n_native_words = counts.(3);
-        n_picks = counts.(4);
-        total_words;
-        total_bytes;
-      }
-    in
-    Array.iter
-      (fun s -> try Sys.remove s.w_spill with Sys_error _ -> ())
-      w.streams;
-    w.closed <- true;
-    sizes
+      raise e
 end
 
-(* --- streaming reader -------------------------------------------------- *)
+(* --- reader: the one decoder ------------------------------------------- *)
 
-(* Replays a trace file through chunked tapes. [open_file] parses the
-   header off the channel, then locates every section in one linear pass
-   that counts varint terminators over a reused block; each tape then
-   refills [chunk_words]-element chunks on demand: one [really_input] of at
-   most [9 * k + 1] bytes (a well-formed varint is at most 9 bytes, and the
-   extra byte lets an oversized one be reported as such), clipped at the
-   section end, decoded in place by [get_varint_bytes] — the same
-   truncated / oversized / non-canonical checks as {!of_bytes}. Resident
-   memory is one block plus one chunk per tape, constant in trace
-   length. *)
+(* Serves a trace through chunked tapes, from an open file or an
+   in-memory string. [open_source] parses the header and locates every
+   section in one linear pass over windows of at most 64 KiB: the header
+   fields and section counts are decoded from the window by
+   [get_varint_bytes], and the values are skipped by counting varint
+   terminator bytes. Each tape then refills [chunk_words]-element chunks on
+   demand from one window of at most [9 * k + 1] bytes (a well-formed
+   varint is at most 9 bytes, and the extra byte lets an oversized one be
+   reported as such), clipped at the section end and decoded in place by
+   [get_varint_bytes]. A file's resident memory is one window buffer plus
+   one chunk per tape, constant in trace length. Every [Format_error] for
+   a malformed file comes from here. *)
 module Reader = struct
+  (* Where the bytes come from. [source_length], [window] and [close] are
+     the only code that tells a file from a string. *)
+  type source =
+    | File of { ic : in_channel; mutable buf : Bytes.t }
+    | String of string
+
+  let source_length = function
+    | File f -> in_channel_length f.ic
+    | String s -> String.length s
+
+  (* The [n] bytes at offset [off] (callers keep [off + n] within the
+     source), as [(bytes, start)]: a string is its own window; a file's
+     bytes are read into its reused buffer. *)
+  let window src off n =
+    match src with
+    | String s -> (Bytes.unsafe_of_string s, off)
+    | File f ->
+      if n > Bytes.length f.buf then f.buf <- Bytes.create n;
+      seek_in f.ic off;
+      (match really_input f.ic f.buf 0 n with
+      | () -> ()
+      | exception End_of_file -> raise (Format_error "truncated section"));
+      (f.buf, 0)
+
   type cursor = {
-    mutable offset : int; (* file offset of the next undecoded value *)
+    mutable offset : int; (* source offset of the next undecoded value *)
     mutable left : int; (* values not yet decoded *)
-    stop : int; (* file offset one past the section's last byte *)
+    stop : int; (* source offset one past the section's last byte *)
   }
 
   type t = {
-    ic : in_channel;
+    src : source;
     r_digest : string;
     r_hash : string;
+    cursors : cursor array;
     r_tapes : Tape.t array;
-    r_counts : int array;
     mutable r_closed : bool;
   }
 
-  (* Header fields only: the sections are scanned and decoded in blocks. *)
-  let input_varint ic =
-    let v = ref 0 and shift = ref 0 and continue_ = ref true in
-    while !continue_ do
-      if !shift > 56 then raise (Format_error "oversized varint");
-      let b =
-        match input_char ic with
-        | c -> Char.code c
-        | exception End_of_file -> raise (Format_error "truncated varint")
-      in
-      v := !v lor ((b land 0x7f) lsl !shift);
-      if b land 0x80 = 0 then begin
-        if b = 0 && !shift > 0 then
-          raise (Format_error "non-canonical varint");
-        continue_ := false
-      end
-      else shift := !shift + 7
-    done;
-    unzigzag !v
-
-  let input_exact ic n what =
-    match really_input_string ic n with
-    | s -> s
-    | exception End_of_file ->
-      raise (Format_error (Fmt.str "truncated %s" what))
-
   let scan_block_bytes = 65536
 
-  (* The open-time pass over the sections: a window [blk.(pos .. len)] onto
-     the file, starting at file offset [base + pos], read sequentially off
-     the channel (no seeks). *)
+  (* The open-time pass: the unread bytes [blk.(pos .. len)] of the current
+     window, at source offset [base + pos], read front to back. *)
   type scan = {
-    blk : Bytes.t;
-    mutable base : int; (* file offset of blk.(0) *)
+    s_src : source;
+    size : int; (* source length *)
+    mutable blk : Bytes.t;
+    mutable base : int; (* source offset of blk.(0) *)
     mutable pos : int;
     mutable len : int;
   }
 
   let scan_offset sc = sc.base + sc.pos
 
-  (* Make at least [need] unread bytes available, short only at end of
-     file: the unread tail moves to the front and the rest is filled. *)
-  let ensure ic sc need =
-    if sc.len - sc.pos < need then begin
-      let rest = sc.len - sc.pos in
-      Bytes.blit sc.blk sc.pos sc.blk 0 rest;
-      sc.base <- sc.base + sc.pos;
-      sc.pos <- 0;
-      sc.len <- rest;
-      let eof = ref false in
-      while sc.len < need && not !eof do
-        let r = input ic sc.blk sc.len (Bytes.length sc.blk - sc.len) in
-        if r = 0 then eof := true else sc.len <- sc.len + r
-      done
+  (* Make at least [need] unread bytes available, fewer only at the end of
+     the source, by moving the window to the scan offset. *)
+  let ensure sc need =
+    if sc.len - sc.pos < need && sc.base + sc.len < sc.size then begin
+      let off = scan_offset sc in
+      let n = min (max need scan_block_bytes) (sc.size - off) in
+      let b, start = window sc.s_src off n in
+      sc.blk <- b;
+      sc.base <- off - start;
+      sc.pos <- start;
+      sc.len <- start + n
     end
 
-  (* A section's element count: one varint, with every {!get_varint}
-     check. *)
-  let scan_count ic sc =
-    ensure ic sc 10;
+  (* One varint — a header length or a section count — with every
+     {!get_varint_bytes} check. *)
+  let scan_varint sc =
+    ensure sc 10;
     let p = ref sc.pos in
     let v = get_varint_bytes sc.blk ~lim:sc.len p in
     sc.pos <- !p;
     v
 
+  (* A length-prefixed header string, bounded by what the source holds. *)
+  let scan_string sc what =
+    let n = scan_varint sc in
+    if n < 0 || n > sc.size - scan_offset sc then
+      raise (Format_error (Fmt.str "bad %s length" what));
+    ensure sc n;
+    let s = Bytes.sub_string sc.blk sc.pos n in
+    sc.pos <- sc.pos + n;
+    s
+
   (* Skip [n] varints by counting terminator bytes (top bit clear);
-     malformed interiors surface as Format_error at refill time. *)
-  let scan_skip ic sc n =
+     malformed interiors surface as Format_error when decoded. *)
+  let scan_skip sc n =
     let left = ref n in
     while !left > 0 do
-      ensure ic sc 1;
+      ensure sc 1;
       if sc.pos >= sc.len then raise (Format_error "truncated section");
       let p = ref sc.pos in
       while !left > 0 && !p < sc.len do
@@ -718,113 +648,138 @@ module Reader = struct
       sc.pos <- !p
     done
 
+  (* Decode the next [k] values of a section into [data.(0 .. k-1)]. *)
+  let decode src cur data k =
+    let n = min (cur.stop - cur.offset) ((9 * k) + 1) in
+    let b, start = window src cur.offset n in
+    let p = ref start in
+    for j = 0 to k - 1 do
+      data.(j) <- get_varint_bytes b ~lim:(start + n) p
+    done;
+    cur.offset <- cur.offset + (!p - start);
+    cur.left <- cur.left - k
+
+  let refill src ~chunk_words cur (t : Tape.t) =
+    cur.left > 0
+    && begin
+      let k = min chunk_words cur.left in
+      (* the first refill is the largest: one array per tape, reused by
+         every later refill *)
+      if Array.length t.data < k then t.data <- Array.make k 0;
+      decode src cur t.data k;
+      t.base <- t.base + t.len;
+      t.len <- k;
+      t.rd <- 0;
+      t.pending <- cur.left;
+      true
+    end
+
   let default_chunk_words = 1024
 
-  let open_file ?(chunk_words = default_chunk_words) path =
+  let open_source ~chunk_words src =
     if chunk_words < 1 then invalid_arg "Trace.Reader.open_file: chunk_words";
-    let ic = open_in_bin path in
-    match
-      let file_len = in_channel_length ic in
-      let ml = String.length magic in
-      if input_exact ic ml "magic" <> magic then
-        raise (Format_error "bad magic");
-      let str_field what =
-        let n = input_varint ic in
-        if n < 0 || n > file_len then
-          raise (Format_error (Fmt.str "bad %s length" what));
-        input_exact ic n what
-      in
-      let r_digest = str_field "digest" in
-      let r_hash = str_field "analysis-hash" in
-      let body = pos_in ic in
-      let sc =
-        {
-          blk = Bytes.create (max 16 (min scan_block_bytes (file_len - body)));
-          base = body;
-          pos = 0;
-          len = 0;
-        }
-      in
-      let section () =
-        let count = scan_count ic sc in
+    let size = source_length src in
+    let sc =
+      { s_src = src; size; blk = Bytes.empty; base = 0; pos = 0; len = 0 }
+    in
+    let ml = String.length magic in
+    ensure sc ml;
+    if sc.len - sc.pos < ml || Bytes.sub_string sc.blk sc.pos ml <> magic then
+      raise (Format_error "bad magic");
+    sc.pos <- sc.pos + ml;
+    let r_digest = scan_string sc "digest" in
+    let r_hash = scan_string sc "analysis-hash" in
+    let section i =
+      if i = optional_section && scan_offset sc = size then
+        { offset = size; left = 0; stop = size }
+      else begin
+        let count = scan_varint sc in
         if count < 0 then raise (Format_error "negative section length");
         let offset = scan_offset sc in
-        scan_skip ic sc count;
+        scan_skip sc count;
         { offset; left = count; stop = scan_offset sc }
-      in
-      let cursors =
-        Array.init (Array.length Writer.stream_names) (fun i ->
-            if i < Writer.mandatory_streams then section ()
-            else if
-              (* the trailing picks section is optional: absent entirely in
-                 traces from ordinary recordings *)
-              scan_offset sc < file_len
-            then section ()
-            else { offset = file_len; left = 0; stop = file_len })
-      in
-      ensure ic sc 1;
-      if sc.pos < sc.len then raise (Format_error "trailing bytes");
-      (* one refill buffer for every tape, the scan block when it is big
-         enough: refills run one at a time and decode before returning *)
-      let refill_bytes c =
-        min (c.stop - c.offset) ((9 * min chunk_words c.left) + 1)
-      in
-      let need =
-        Array.fold_left (fun acc c -> max acc (refill_bytes c)) 0 cursors
-      in
-      let buf =
-        if need <= Bytes.length sc.blk then sc.blk else Bytes.create need
-      in
-      let r_counts = Array.map (fun c -> c.left) cursors in
-      let r_tapes =
-        Array.mapi
-          (fun i name ->
-            let cur = cursors.(i) in
-            Tape.of_refill name ~pending:cur.left (fun (t : Tape.t) ->
-                if cur.left = 0 then false
-                else begin
-                  let k = min chunk_words cur.left in
-                  let n = refill_bytes cur in
-                  seek_in ic cur.offset;
-                  (match really_input ic buf 0 n with
-                  | () -> ()
-                  | exception End_of_file ->
-                    raise (Format_error "truncated section"));
-                  (* the first refill is the largest: one array per
-                     tape, reused by every later refill *)
-                  if Array.length t.data < k then t.data <- Array.make k 0;
-                  let p = ref 0 in
-                  for j = 0 to k - 1 do
-                    t.data.(j) <- get_varint_bytes buf ~lim:n p
-                  done;
-                  cur.offset <- cur.offset + !p;
-                  cur.left <- cur.left - k;
-                  t.base <- t.base + t.len;
-                  t.len <- k;
-                  t.rd <- 0;
-                  t.pending <- cur.left;
-                  true
-                end))
-          Writer.stream_names
-      in
-      { ic; r_digest; r_hash; r_tapes; r_counts; r_closed = false }
-    with
+      end
+    in
+    let cursors = Array.init (Array.length section_names) section in
+    if scan_offset sc < size then raise (Format_error "trailing bytes");
+    {
+      src;
+      r_digest;
+      r_hash;
+      cursors;
+      r_tapes =
+        Array.map2
+          (fun name cur ->
+            Tape.of_refill name ~pending:cur.left (refill src ~chunk_words cur))
+          section_names cursors;
+      r_closed = false;
+    }
+
+  (* Every section of a fresh reader, each decoded from one window straight
+     into an array of its length. *)
+  let sections r =
+    Array.map
+      (fun cur ->
+        let a = Array.make cur.left 0 in
+        if cur.left > 0 then decode r.src cur a cur.left;
+        a)
+      r.cursors
+
+  let close r =
+    if not r.r_closed then begin
+      r.r_closed <- true;
+      match r.src with File f -> close_in_noerr f.ic | String _ -> ()
+    end
+
+  let open_file ?(chunk_words = default_chunk_words) path =
+    let ic = open_in_bin path in
+    match open_source ~chunk_words (File { ic; buf = Bytes.empty }) with
     | r -> r
     | exception e ->
       close_in_noerr ic;
       raise e
+
+  let of_string s = open_source ~chunk_words:default_chunk_words (String s)
 
   let program_digest r = r.r_digest
 
   let analysis_hash r = r.r_hash
 
   let tapes r = r.r_tapes
-
-  let counts r = r.r_counts
-
-  let close r =
-    if not r.r_closed then begin
-      r.r_closed <- true;
-      close_in_noerr r.ic
-    end
 end
+
+(* Materialize a fresh reader. *)
+let of_reader r : t =
+  let s = Reader.sections r in
+  {
+    program_digest = Reader.program_digest r;
+    analysis_hash = Reader.analysis_hash r;
+    switches = s.(0);
+    clocks = s.(1);
+    inputs = s.(2);
+    natives = s.(3);
+    picks = s.(4);
+  }
+
+let of_bytes s = of_reader (Reader.of_string s)
+
+let load path =
+  let r = Reader.open_file path in
+  Fun.protect ~finally:(fun () -> Reader.close r) (fun () -> of_reader r)
+
+(* Write via a temp file and atomic rename: a crash (or cancellation)
+   mid-write never leaves a truncated trace under the final name. The
+   explicit [close_out] surfaces a failed final flush before the rename. *)
+let save path t =
+  let tmp = path ^ ".tmp" in
+  let oc = open_out_bin tmp in
+  (try
+     Fun.protect
+       ~finally:(fun () -> close_out_noerr oc)
+       (fun () ->
+         output_string oc (to_bytes t);
+         close_out oc)
+   with e ->
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
+  Sys.rename tmp path

@@ -8,17 +8,22 @@
       switches (Figure 2);
     - clocks: (reason, value) pairs for every wall-clock read;
     - inputs: external input values;
-    - natives: native-call outcomes (result and callback parameters).
+    - natives: native-call outcomes (result and callback parameters);
+    - picks: dispatch-override decisions, recorded only under a controlled
+      scheduler.
 
-    Tapes are flat integer sequences; the file format is a zigzag-varint
-    stream with a header carrying the program's structural digest so a
-    trace cannot be replayed against the wrong code. *)
+    Tapes are flat integer sequences; the file format (DJVU2) is a
+    zigzag-varint stream with a header carrying the program's structural
+    digest so a trace cannot be replayed against the wrong code. {!to_bytes}
+    and {!Writer} encode it; {!Reader} is its only decoder, and
+    {!of_bytes} and {!load} drain one. *)
 
 (** Raised when a replay consumes past the end of a tape; the payload is
     the tape name. *)
 exception End_of_tape of string
 
-(** Raised by {!of_bytes} on a malformed trace. *)
+(** Raised on a malformed trace by {!Reader} — and so by {!of_bytes},
+    {!load}, and the refills of a reader's tapes. *)
 exception Format_error of string
 
 (** Growable integer sequences with an independent read cursor. A tape can
@@ -123,8 +128,16 @@ val get_varint : string -> int -> int * int
 (** Encoded byte size of one value, without producing the bytes. *)
 val varint_size : int -> int
 
+(** The section names in file order: switches, clocks, inputs, natives,
+    picks. The picks section is written only when non-empty. *)
+val section_names : string array
+
+(** The trace's five sections as materialized tapes, in file order. *)
+val tapes : t -> Tape.t array
+
 val to_bytes : t -> string
 
+(** Decode a whole trace by draining a {!Reader} over the string. *)
 val of_bytes : string -> t
 
 (** Byte size of the serialized form, computed arithmetically (no buffer is
@@ -135,6 +148,8 @@ val encoded_size : t -> int
     truncated trace under the final name. *)
 val save : string -> t -> unit
 
+(** Decode a trace file by draining a {!Reader} over it; the file is
+    closed on every path. *)
 val load : string -> t
 
 val sizes : t -> sizes
@@ -165,12 +180,15 @@ module Writer : sig
   (** High-water mark of words buffered in memory across all tapes. *)
   val peak_buffered_words : t -> int
 
-  (** Words currently buffered (bounded by 4 x buf_words). *)
+  (** Words currently buffered (bounded by 5 x buf_words, one buffer per
+      tape). *)
   val buffered_words : t -> int
 
   (** Flush tails, write the final file, atomic-rename it into place,
       remove scratch files; returns the trace statistics (tracked
-      incrementally — the trace is never materialized). *)
+      incrementally — the trace is never materialized). Any failure,
+      including a spill channel's final flush, aborts the writer before
+      re-raising. *)
   val finish : t -> program_digest:string -> analysis_hash:string -> sizes
 
   (** Discard a recording: close and remove all scratch state. Idempotent;
@@ -178,16 +196,18 @@ module Writer : sig
   val abort : t -> unit
 end
 
-(** Bounded-memory trace reader: parses the header and locates the four
-    sections in one linear scan, then serves each tape in
-    [chunk_words]-element chunks refilled on demand. Resident memory is
-    O(chunk), constant in trace length. Raises {!Format_error} on a
-    truncated or corrupted file. *)
+(** The trace decoder: parses the header and locates all five sections
+    in one linear scan, then serves each tape in [chunk_words]-element
+    chunks refilled on demand. Resident memory is O(chunk), constant in
+    trace length. Raises {!Format_error} on a truncated or corrupted
+    trace: at open for a bad header, section framing or trailing bytes,
+    at refill for a malformed value. *)
 module Reader : sig
   type t
 
   val default_chunk_words : int
 
+  (** Open a trace file; the file is closed again if opening fails. *)
   val open_file : ?chunk_words:int -> string -> t
 
   val program_digest : t -> string
@@ -198,9 +218,6 @@ module Reader : sig
       inputs, natives, picks (served empty when the file predates the
       optional picks section). *)
   val tapes : t -> Tape.t array
-
-  (** Per-section element counts from the header scan. *)
-  val counts : t -> int array
 
   val close : t -> unit
 end

@@ -13,7 +13,6 @@
    placement policy the dispatcher routes submissions with. *)
 
 module Trace = Dejavu.Trace
-module Session = Dejavu.Session
 module Recorder = Dejavu.Recorder
 module Replayer = Dejavu.Replayer
 
@@ -158,22 +157,17 @@ let run_replay ~slice ~config ?pool ?est ctx (e : Workloads.Registry.entry)
   Fun.protect
     ~finally:(fun () -> Trace.Reader.close reader)
     (fun () ->
-      match Replayer.attach_stream vm reader with
-      | exception Session.Divergence msg ->
-        simple
-          ~status:("fatal: replay divergence: " ^ msg)
-          ~digest:"" ~words:0
-      | session ->
-        (try drive ~slice ctx vm with
-        | Session.Divergence msg ->
-          vm.Vm.Rt.status <- Vm.Rt.Fatal ("replay divergence: " ^ msg)
-        | Vm.Sched.Sched_error msg ->
-          vm.Vm.Rt.status <- Vm.Rt.Fatal ("replay divergence: " ^ msg));
+      let status () = Vm.string_of_status (Vm.status vm) in
+      match
+        Dejavu.replay_attached vm
+          ~attach:(fun vm -> Replayer.attach_stream vm reader)
+          ~drive:(drive ~slice ctx)
+      with
+      | Error _ -> simple ~status:(status ()) ~digest:"" ~words:0
+      | Ok session ->
         let leftovers = Replayer.check_complete session in
         note_size ?est e vm;
-        simple
-          ~status:(Vm.string_of_status (Vm.status vm))
-          ~digest:(state_digest_hex vm)
+        simple ~status:(status ()) ~digest:(state_digest_hex vm)
           ~words:(List.length leftovers))
 
 (* Record to a shard-private temp file, replay it back, compare states.

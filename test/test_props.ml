@@ -108,6 +108,53 @@ let prop_trace_roundtrip =
       && t'.Dejavu.Trace.inputs = c
       && t'.Dejavu.Trace.natives = d)
 
+(* The codec's contract, over random traces with all five sections and
+   9-byte values among small ones: a trace decodes back to itself, and
+   every strict prefix of its encoding is refused — except the one that
+   ends just before a non-empty picks section, which is a complete trace
+   without picks (the section is optional on disk). *)
+let trace_gen =
+  QCheck.Gen.(
+    let value = frequency [ (3, int_range (-100) 100); (1, extreme_int_gen) ] in
+    let section = array_size (int_bound 40) value in
+    let name = string_size ~gen:printable (int_bound 12) in
+    map
+      (fun ((program_digest, analysis_hash), (switches, clocks, inputs),
+            (natives, picks)) ->
+        {
+          Dejavu.Trace.program_digest;
+          analysis_hash;
+          switches;
+          clocks;
+          inputs;
+          natives;
+          picks;
+        })
+      (triple (pair name name)
+         (triple section section section)
+         (pair section section)))
+
+let prop_trace_prefixes =
+  qtest ~count:200 "trace roundtrip, every strict prefix refused"
+    (QCheck.make
+       ~print:(fun t ->
+         Dejavu.Trace.(Fmt.str "%a" pp_sizes (sizes t)))
+       trace_gen)
+    (fun t ->
+      let s = Dejavu.Trace.to_bytes t in
+      let no_picks = { t with Dejavu.Trace.picks = [||] } in
+      let cut =
+        if t.Dejavu.Trace.picks = [||] then -1
+        else String.length (Dejavu.Trace.to_bytes no_picks)
+      in
+      Dejavu.Trace.of_bytes s = t
+      && List.for_all
+           (fun k ->
+             match Dejavu.Trace.of_bytes (String.sub s 0 k) with
+             | t' -> k = cut && t' = no_picks
+             | exception Dejavu.Trace.Format_error _ -> k <> cut)
+           (List.init (String.length s) Fun.id))
+
 (* --- interpreter vs reference evaluator ----------------------------------- *)
 
 type aop = OAdd of int | OSub of int | OMul of int | ODiv of int | ORem of int
@@ -799,7 +846,7 @@ let () =
           prop_varint_roundtrip; prop_varint_roundtrip_extremes;
           prop_varint_truncated; prop_varint_oversized;
           prop_varint_noncanonical; prop_varint_garbage_total;
-          prop_trace_roundtrip;
+          prop_trace_roundtrip; prop_trace_prefixes;
         ] );
       ("interp", [ prop_arith_matches_reference ]);
       ("determinism", [ prop_execution_deterministic ]);

@@ -99,7 +99,7 @@ let test_roundtrip_full () =
 (* The picks stream (explorer-steered dispatch) is an OPTIONAL trailing
    section: a picks-free trace encodes exactly as before this stream
    existed (four sections — byte-compatibility with old trace files), and
-   a picks-bearing trace roundtrips through both codecs. *)
+   a picks-bearing trace roundtrips. *)
 let test_picks_optional_section () =
   let plain = mk ~switches:[| 1; 2 |] () in
   let with_picks = mk ~switches:[| 1; 2 |] ~picks:[| 1; 2; 1 |] () in
@@ -129,9 +129,21 @@ let test_trailing_bytes () =
 let test_truncation () =
   let s = T.to_bytes (mk ~switches:[| 1; 2; 3 |] ()) in
   let s = String.sub s 0 (String.length s - 2) in
-  match T.of_bytes s with
+  (match T.of_bytes s with
   | exception T.Format_error _ -> ()
-  | _ -> Alcotest.fail "truncated trace accepted"
+  | _ -> Alcotest.fail "truncated trace accepted");
+  (* a count far beyond the bytes present is a truncated section too, not
+     a request to allocate that many words *)
+  let buf = Buffer.create 32 in
+  Buffer.add_string buf "DJVU2\n";
+  T.put_varint buf 1;
+  Buffer.add_string buf "d";
+  T.put_varint buf 0;
+  T.put_varint buf (1 lsl 60);
+  T.put_varint buf 5;
+  match T.of_bytes (Buffer.contents buf) with
+  | exception T.Format_error _ -> ()
+  | _ -> Alcotest.fail "huge section count accepted"
 
 let test_save_load () =
   let t = mk ~switches:[| 9; 8; 7 |] ~inputs:[| 1 |] () in
@@ -363,16 +375,17 @@ let drain_file ~chunk_words path =
         tp;
       t)
 
-(* The streamed tapes equal the batch decoder's for every chunk size —
-   one value per refill, refills ending mid-chunk, and the default. *)
-let check_sweep ctx path =
-  let whole = T.of_bytes (read_file path) in
+(* The streamed tapes equal the recorded in-memory trace for every chunk
+   size — one value per refill, refills ending mid-chunk, and the default.
+   (Not [of_bytes]: it drains a Reader too, so that comparison would be
+   circular.) *)
+let check_sweep ctx (recorded : T.t) path =
   List.iter
     (fun chunk_words ->
       Alcotest.(check bool)
-        (Fmt.str "%s: chunk_words %d = of_bytes" ctx chunk_words)
+        (Fmt.str "%s: chunk_words %d = recorded" ctx chunk_words)
         true
-        (trace_eq whole (drain_file ~chunk_words path)))
+        (trace_eq recorded (drain_file ~chunk_words path)))
     [ 1; 2; 3; 1024 ]
 
 let test_reader_chunk_sweep_registry () =
@@ -381,7 +394,7 @@ let test_reader_chunk_sweep_registry () =
         (fun (e : Workloads.Registry.entry) ->
           let _, trace = Dejavu.record ~natives:e.natives ~seed:1 e.program in
           T.save path trace;
-          check_sweep e.name path)
+          check_sweep e.name trace path)
         (Lazy.force Workloads.Registry.all))
 
 (* Maximum-width (9-byte) varints mixed with 1-byte ones, in every
@@ -435,6 +448,107 @@ let test_reader_count_straddles_scan_block () =
           (trace_eq t (drain_file ~chunk_words:1024 path))
       done)
 
+(* A decode that fails releases its file: 200 failed [load]s and 200
+   failed [Reader.open_file]-plus-drain calls over truncated and corrupt
+   files leave the process's open descriptors as they were. *)
+let test_failed_decodes_keep_fds () =
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  let whole = T.to_bytes (sample_trace ()) in
+  (* a non-canonical value (0x80 0x00): the open-time scan frames it as one
+     varint, the refill rejects it *)
+  let corrupt =
+    let b = Bytes.of_string (T.to_bytes (mk ~switches:[| 64 |] ())) in
+    let k = Bytes.length b - 4 in
+    assert (Bytes.get b k = '\x01');
+    Bytes.set b k '\x00';
+    Bytes.to_string b
+  in
+  let broken =
+    [
+      String.sub whole 0 (String.length whole / 2);
+      String.sub whole 0 (String.length whole - 1);
+      String.sub whole 0 3;
+      corrupt;
+    ]
+  in
+  let drain_all r =
+    Array.iter
+      (fun tp ->
+        while T.Tape.remaining tp > 0 do
+          ignore (T.Tape.read tp)
+        done)
+      (T.Reader.tapes r)
+  in
+  with_tmp (fun path ->
+      let write s =
+        let oc = open_out_bin path in
+        output_string oc s;
+        close_out oc
+      in
+      let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+      let before = open_fds () in
+      for k = 0 to 199 do
+        write (List.nth broken (k mod List.length broken));
+        (match T.load path with
+        | exception T.Format_error _ -> ()
+        | _ -> Alcotest.fail "load accepted a broken trace");
+        match T.Reader.open_file ~chunk_words:2 path with
+        | exception T.Format_error _ -> ()
+        | r -> (
+          match
+            Fun.protect
+              ~finally:(fun () -> T.Reader.close r)
+              (fun () -> drain_all r)
+          with
+          | exception T.Format_error _ -> ()
+          | () -> Alcotest.fail "drained a broken trace")
+      done;
+      Alcotest.(check int) "open descriptors" before (open_fds ()))
+
+(* A final flush that fails (ENOSPC, from /dev/full) makes both encoders
+   give up: the error escapes, and neither a scratch file nor a partial
+   trace is left behind. For [Writer.finish] the flush is a spill
+   channel's close; for [save] it is the temp file's. *)
+let test_encoders_abort_on_enospc () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  with_tmp (fun path ->
+      Sys.remove path;
+      Unix.symlink "/dev/full" (path ^ ".tmp");
+      (match T.save path (sample_trace ()) with
+      | exception Sys_error _ -> ()
+      | () -> Alcotest.fail "save succeeded on a full device");
+      Alcotest.(check bool) "save: no trace" false (Sys.file_exists path);
+      Alcotest.(check bool)
+        "save: no temp file" false
+        (Sys.file_exists (path ^ ".tmp")));
+  with_tmp (fun path ->
+      Sys.remove path;
+      let spill name = Fmt.str "%s.%s.spill" path name in
+      Unix.symlink "/dev/full" (spill "clocks");
+      let w =
+        try T.Writer.create path
+        with e ->
+          Sys.remove (spill "clocks");
+          raise e
+      in
+      Array.iter (fun tp -> T.Tape.push tp 1) (T.Writer.tapes w);
+      (match T.Writer.finish w ~program_digest:"d" ~analysis_hash:"" with
+      | exception Sys_error _ -> ()
+      | _ -> Alcotest.fail "finish succeeded on a full device");
+      Array.iter
+        (fun name ->
+          Alcotest.(check bool)
+            (name ^ " spill removed") false
+            (Sys.file_exists (spill name)))
+        T.section_names;
+      Alcotest.(check bool) "no trace" false (Sys.file_exists path);
+      Alcotest.(check bool)
+        "no temp file" false
+        (Sys.file_exists (path ^ ".tmp"));
+      match T.Writer.finish w ~program_digest:"d" ~analysis_hash:"" with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "aborted writer finished")
+
 let () =
   Alcotest.run "trace"
     [
@@ -473,5 +587,7 @@ let () =
             test_reader_max_width_straddle;
           quick "reader count straddles the scan block"
             test_reader_count_straddles_scan_block;
+          quick "failed decodes keep descriptors" test_failed_decodes_keep_fds;
+          quick "encoders abort on ENOSPC" test_encoders_abort_on_enospc;
         ] );
     ]
