@@ -11,10 +11,10 @@ build:
 test:
 	dune runtest
 
-# Tier-1 gate plus the perf trajectory: build, full test suite, and the
-# machine-readable dispatch benchmark (writes BENCH_interp.json).
+# Tier-1 gate: build and the full test suite. Performance is measured by
+# perfbench (BENCHMARK.json; `make perfbench-smoke` runs its oracle).
 smoke:
-	dune build && dune runtest && dune exec bench/main.exe -- --json
+	dune build && dune runtest
 
 # Replay farm gate: record the whole registry across 4 shard domains and
 # fail unless every job completes (the aggregate digest is checked against

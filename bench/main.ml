@@ -4,8 +4,7 @@
    and EXPERIMENTS.md for paper-claim vs measured.
 
    Run:  dune exec bench/main.exe            (all experiments)
-         dune exec bench/main.exe -- E7 E9   (a subset)
-         dune exec bench/main.exe -- micro   (bechamel microbenchmarks) *)
+         dune exec bench/main.exe -- E7 E9   (a subset) *)
 
 let section id title =
   Fmt.pr "@.=== %s: %s ===@." id title
@@ -155,8 +154,8 @@ let overhead_workloads =
    run WITHOUT the event-sequence digest observer: it is a verification
    artifact (a hash fold per region segment or stack-tier instruction)
    rather than part of the replay instrumentation, so including it would
-   overstate the overhead the paper talks about. [reps] runs are taken and the fastest kept. *)
-let measure_modes ?(reps = 9) ~natives ~program () =
+   overstate the overhead the paper talks about. *)
+let measure_modes ~natives ~program =
   (* one untimed run first: a program's first execution in this process
      pays page faults, allocator growth, and cold branch history — up to
      2x on sub-millisecond workloads, a trend best-of alone can't dodge.
@@ -167,7 +166,7 @@ let measure_modes ?(reps = 9) ~natives ~program () =
   let best f =
     let r = ref infinity in
     let instrs = ref 0 in
-    for _ = 1 to reps do
+    for _ = 1 to 9 do
       let (n : int), t = time f in
       instrs := n;
       if t < !r then r := t
@@ -194,7 +193,7 @@ let measure_modes ?(reps = 9) ~natives ~program () =
         in
         (Vm.stats run.Dejavu.vm).n_instr)
   in
-  (live, record, replay, Dejavu.Trace.sizes trace)
+  (live, record, replay)
 
 let e6 () =
   section "E6" "Record/replay overhead vs uninstrumented execution";
@@ -202,8 +201,8 @@ let e6 () =
     "record Mi/s" "replay Mi/s" "rec ovhd" "rep ovhd";
   List.iter
     (fun (name, (e : Workloads.Registry.entry)) ->
-      let (live_instrs, live_t), (rec_instrs, rec_t), (rep_instrs, rep_t), _ =
-        measure_modes ~natives:e.natives ~program:e.program ()
+      let (live_instrs, live_t), (rec_instrs, rec_t), (rep_instrs, rep_t) =
+        measure_modes ~natives:e.natives ~program:e.program
       in
       let mips n t = rate n t /. 1e6 in
       Fmt.pr "%-20s %-12.2f %-12.2f %-12.2f %-10.3f %-10.3f@." name
@@ -391,56 +390,6 @@ let e11 () =
     [ ("symmetric (DejaVu)", 0); ("asymmetric (+32w alloc)", 32);
       ("asymmetric (+1w alloc)", 1) ]
 
-(* ------------------------------------------------- bechamel micro bench *)
-
-let micro () =
-  section "MICRO" "bechamel microbenchmarks (ns per whole-program run)";
-  let open Bechamel in
-  let open Toolkit in
-  let e = entry "fig1cd" in
-  let _, trace = Dejavu.record ~natives:e.natives ~seed:1 e.program in
-  let mk name f = Test.make ~name (Staged.stage f) in
-  let tests =
-    Test.make_grouped ~name:"dejavu"
-      [
-        mk "live-run" (fun () -> ignore (Vm.execute ~natives:e.natives ~seed:1 e.program));
-        mk "record-run" (fun () -> ignore (Dejavu.record ~natives:e.natives ~seed:1 e.program));
-        mk "replay-run" (fun () -> ignore (Dejavu.replay ~natives:e.natives e.program trace));
-        mk "crew-record" (fun () ->
-            let vm = Vm.create ~natives:e.natives e.program in
-            ignore (Baselines.Crew.attach vm);
-            ignore (Vm.run vm));
-        mk "icount-record" (fun () ->
-            let vm = Vm.create ~natives:e.natives e.program in
-            ignore (Baselines.Icount.attach_record vm);
-            ignore (Vm.run vm));
-      ]
-  in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 1.0) ~kde:(Some 1000) ()
-    in
-    let raw_results = Benchmark.all cfg instances tests in
-    let results =
-      List.map (fun instance -> Analyze.all ols instance raw_results) instances
-    in
-    Analyze.merge ols instances results
-  in
-  let results = benchmark () in
-  Hashtbl.iter
-    (fun _measure tbl ->
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Fmt.pr "%-24s %12.0f ns/run@." name est
-          | _ -> Fmt.pr "%-24s (no estimate)@." name)
-        tbl)
-    results
-
 (* ------------------------------------------------------------------ E12 *)
 
 let rm_rf dir =
@@ -523,9 +472,7 @@ let warm_sustained ~shards ~rounds =
   let jobs = rounds * List.length names in
   ( (if wall > 0. then float_of_int jobs /. wall else 0.),
     q 0.50 *. 1e3,
-    q 0.99 *. 1e3,
-    wall,
-    runner.Server.Job.warm_stats () )
+    q 0.99 *. 1e3 )
 
 let e12 () =
   section "E12"
@@ -538,7 +485,7 @@ let e12 () =
     (fun shards ->
       let cold = if shards = 1 then base else batch_under ~warm:false shards in
       let w = batch_under ~warm:true shards in
-      let sus_jps, p50, p99, _, _ = warm_sustained ~shards ~rounds:3 in
+      let sus_jps, p50, p99 = warm_sustained ~shards ~rounds:3 in
       if shards = 1 then sus1 := sus_jps;
       if shards = 4 then sus4 := sus_jps;
       Fmt.pr "%-8d %12.1f %12.1f %12.1f %10.1f %10.1f%s@." shards
@@ -839,374 +786,6 @@ let e14 () =
         off.Explore.Driver.rp_digests)
     [ "atomicity"; "lock-cycle" ]
 
-(* ---------------------------------------------------------------- json *)
-
-(* Machine-readable perf trajectory: per-workload instrs/sec for live,
-   record, and replay plus trace sizes, kept in BENCH_interp.json so a
-   checked-in history of dispatch-loop performance accumulates PR over PR.
-   The file is a JSON array of {pr, date, workloads} points; each --json
-   run APPENDS a point rather than overwriting the history (a pre-history
-   single-object file is wrapped as point 1 on first append). The pr number
-   is inferred from the number of existing points, or forced with --pr=N.
-   The registry workloads match E6 (short runs, VM setup included); the
-   -XL entries are scaled up so the steady-state dispatch rate dominates
-   setup noise. No JSON library in the tree — the writer is hand-rolled. *)
-let json_out = "BENCH_interp.json"
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* The text of the existing points (everything between the outer brackets),
-   or [None] for no/empty history. A legacy single-object file — the format
-   before the trajectory became an array — is wrapped as point 1, dated by
-   the PR-1 commit. *)
-let prior_points () =
-  if not (Sys.file_exists json_out) then None
-  else
-    let s = String.trim (read_file json_out) in
-    let len = String.length s in
-    if len = 0 then None
-    else if s.[0] = '[' then Some (String.trim (String.sub s 1 (len - 2)))
-    else
-      (* "{ body }" -> "{ pr/date, body }" *)
-      let body = String.sub s 1 (len - 2) in
-      Some (Fmt.str "{\n  \"pr\": 1,\n  \"date\": \"2026-08-05\",%s}" body)
-
-let count_points s =
-  (* one "pr" key per point *)
-  let n = ref 0 in
-  let key = "\"pr\":" in
-  let klen = String.length key in
-  for i = 0 to String.length s - klen do
-    if String.sub s i klen = key then incr n
-  done;
-  !n
-
-let json_workloads () =
-  let xl name program = (name, program, []) in
-  List.map
-    (fun (name, (e : Workloads.Registry.entry)) -> (name, e.program, e.natives))
-    overhead_workloads
-  @ [
-      xl "primes-XL" (Workloads.Compute.primes ~n:30000 ());
-      xl "parsum-XL" (Workloads.Compute.parsum ~threads:4 ~size:200000 ());
-    ]
-
-let json () =
-  section "json" ("perf trajectory -> " ^ json_out);
-  let prior = prior_points () in
-  let pr =
-    let forced =
-      Array.fold_left
-        (fun acc a ->
-          match acc with
-          | Some _ -> acc
-          | None ->
-            if String.length a > 5 && String.sub a 0 5 = "--pr=" then
-              int_of_string_opt (String.sub a 5 (String.length a - 5))
-            else None)
-        None Sys.argv
-    in
-    match forced with
-    | Some n -> n
-    | None -> (match prior with None -> 1 | Some s -> count_points s + 1)
-  in
-  let date =
-    let t = Unix.localtime (Unix.time ()) in
-    Fmt.str "%04d-%02d-%02d" (t.Unix.tm_year + 1900) (t.Unix.tm_mon + 1)
-      t.Unix.tm_mday
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Fmt.str "{\n  \"pr\": %d,\n  \"date\": %S,\n" pr date);
-  Buffer.add_string buf "  \"bench\": \"interp-dispatch\",\n";
-  Buffer.add_string buf "  \"units\": \"instructions_per_cpu_second\",\n";
-  Buffer.add_string buf "  \"observer\": \"detached\",\n  \"workloads\": {\n";
-  let n_total = List.length (json_workloads ()) in
-  List.iteri
-    (fun i (name, program, natives) ->
-      let (live_n, live_t), (rec_n, rec_t), (rep_n, rep_t), sizes =
-        measure_modes ~natives ~program ()
-      in
-      (* static race-audit cost, from scratch (the recorder itself hits the
-         memoized Dejavu.Audit cache, so recording pays this only once) *)
-      let report, lint_t = time (fun () -> Analysis.run ~name program) in
-      Fmt.pr
-        "%-14s live %.2f record %.2f replay %.2f Mi/s lint %.1f ms (mhp %.1f \
-         dl %.1f) conflicts %d@."
-        name
-        (rate live_n live_t /. 1e6)
-        (rate rec_n rec_t /. 1e6)
-        (rate rep_n rep_t /. 1e6)
-        (lint_t *. 1e3) report.Analysis.Report.mhp_ms
-        report.Analysis.Report.deadlock_ms
-        report.Analysis.Report.n_conflict_pairs;
-      Buffer.add_string buf
-        (Fmt.str
-           "    %S: {\n\
-           \      \"n_instr\": %d,\n\
-           \      \"live_ips\": %.0f,\n\
-           \      \"record_ips\": %.0f,\n\
-           \      \"replay_ips\": %.0f,\n\
-           \      \"lint_ms\": %.2f,\n\
-           \      \"mhp_ms\": %.2f,\n\
-           \      \"deadlock_ms\": %.2f,\n\
-           \      \"conflict_pairs\": %d,\n\
-           \      \"deadlock_cycles\": %d,\n\
-           \      \"trace_words\": %d,\n\
-           \      \"trace_bytes\": %d\n\
-           \    }%s\n"
-           name live_n (rate live_n live_t) (rate rec_n rec_t)
-           (rate rep_n rep_t) (lint_t *. 1e3) report.Analysis.Report.mhp_ms
-           report.Analysis.Report.deadlock_ms
-           report.Analysis.Report.n_conflict_pairs
-           (List.length report.Analysis.Report.deadlocks)
-           sizes.Dejavu.Trace.total_words sizes.Dejavu.Trace.total_bytes
-           (if i = n_total - 1 then "" else ",")))
-    (json_workloads ());
-  Buffer.add_string buf "  },\n";
-  (* replay-farm batch throughput: whole registry recorded under 1 and 4
-     shards, cold (a VM per job — comparable with the PR-4/5 trajectory)
-     and warm (shard pools of baseline-reset VMs). The headline
-     speedup_4v1 is the warm steady-state ratio (untimed warm-up round,
-     then timed rounds on resets only, exact quantiles); the cold ratio is
-     kept alongside it. *)
-  let batch_json ?(warm = false) shards =
-    let rep = batch_under ~warm shards in
-    Fmt.pr
-      "batch %d shard(s)%s: %.1f jobs/s (p50 <= %.1f ms, p99 <= %.1f ms)@."
-      shards
-      (if warm then " warm" else "")
-      rep.Server.Batch.jobs_per_s
-      (rep.Server.Batch.stats.Server.Stats.v_p50 *. 1e3)
-      (rep.Server.Batch.stats.Server.Stats.v_p99 *. 1e3);
-    rep
-  in
-  let b1 = batch_json 1 in
-  let b4 = batch_json 4 in
-  let w1 = batch_json ~warm:true 1 in
-  let w4 = batch_json ~warm:true 4 in
-  let s1_jps, s1_p50, s1_p99, _, _ = warm_sustained ~shards:1 ~rounds:6 in
-  let s4_jps, s4_p50, s4_p99, _, _ = warm_sustained ~shards:4 ~rounds:6 in
-  Fmt.pr "warm sustained: 1 shard %.1f jobs/s, 4 shards %.1f jobs/s@." s1_jps
-    s4_jps;
-  let sv_jps, sv_p50, sv_p99, sv_done, sv_total =
-    serve_load ~shards:4 ~clients:3 ~per_client:21 ~rate_hz:400.
-  in
-  Fmt.pr "serve load: %d/%d done, %.1f jobs/s@." sv_done sv_total sv_jps;
-  let batch_field key (rep : Server.Batch.report) last =
-    Buffer.add_string buf
-      (Fmt.str
-         "    %S: {\n\
-         \      \"jobs\": %d,\n\
-         \      \"wall_s\": %.3f,\n\
-         \      \"jobs_per_s\": %.2f,\n\
-         \      \"p50_ms\": %.2f,\n\
-         \      \"p99_ms\": %.2f\n\
-         \    }%s\n"
-         key (List.length rep.Server.Batch.rows) rep.Server.Batch.wall_s
-         rep.Server.Batch.jobs_per_s
-         (rep.Server.Batch.stats.Server.Stats.v_p50 *. 1e3)
-         (rep.Server.Batch.stats.Server.Stats.v_p99 *. 1e3)
-         (if last then "" else ","))
-  in
-  let sustained_field key (jps, p50, p99) last =
-    Buffer.add_string buf
-      (Fmt.str
-         "    %S: { \"jobs_per_s\": %.2f, \"p50_ms\": %.2f, \"p99_ms\": \
-          %.2f }%s\n"
-         key jps p50 p99
-         (if last then "" else ","))
-  in
-  Buffer.add_string buf "  \"batch\": {\n";
-  batch_field "shards_1" b1 false;
-  batch_field "shards_4" b4 false;
-  batch_field "warm_shards_1" w1 false;
-  batch_field "warm_shards_4" w4 false;
-  sustained_field "warm_sustained_1" (s1_jps, s1_p50, s1_p99) false;
-  sustained_field "warm_sustained_4" (s4_jps, s4_p50, s4_p99) false;
-  Buffer.add_string buf
-    (Fmt.str
-       "    \"speedup_4v1\": %.2f,\n\
-       \    \"speedup_4v1_cold\": %.2f,\n\
-       \    \"warm_vs_cold_1shard\": %.2f,\n\
-       \    \"digests_equal\": %b\n"
-       (if s1_jps > 0. then s4_jps /. s1_jps else 0.)
-       (if b4.Server.Batch.wall_s > 0. then
-          b1.Server.Batch.wall_s /. b4.Server.Batch.wall_s
-        else 0.)
-       (if b1.Server.Batch.jobs_per_s > 0. then
-          w1.Server.Batch.jobs_per_s /. b1.Server.Batch.jobs_per_s
-        else 0.)
-       (b1.Server.Batch.aggregate = b4.Server.Batch.aggregate
-       && b1.Server.Batch.aggregate = w1.Server.Batch.aggregate
-       && b1.Server.Batch.aggregate = w4.Server.Batch.aggregate));
-  Buffer.add_string buf "  },\n";
-  (* register-tier differential: live throughput with the tier off (the
-     on-numbers are the workloads block above) and the fraction of
-     instructions the register tier executed when on *)
-  let noregir = { Vm.Rt.default_config with Vm.Rt.regir = false } in
-  (* on/off reps are interleaved so slow phases of the (long-running)
-     bench process hit both tiers alike instead of biasing one *)
-  let live_pair ~natives program =
-    let one ?config () =
-      time (fun () ->
-          let vm, _ = Vm.execute ?config ~natives ~seed:1 program in
-          (Vm.stats vm).n_instr)
-    in
-    (* untimed warmup pairs first (see measure_modes), then best-of with
-       extra reps for the short monitor-heavy workloads: they run well
-       under a millisecond, so the ratio needs more samples to shake
-       phase noise *)
-    let (n0 : int), _ = one () in
-    ignore (one ~config:noregir ());
-    for _ = 1 to 2 do
-      ignore (one ());
-      ignore (one ~config:noregir ())
-    done;
-    let reps = if n0 < 50_000 then 15 else 9 in
-    let best_on = ref infinity and best_off = ref infinity and n = ref 0 in
-    for _ = 1 to reps do
-      let (i : int), t_on = one () in
-      let _, t_off = one ~config:noregir () in
-      n := i;
-      if t_on < !best_on then best_on := t_on;
-      if t_off < !best_off then best_off := t_off
-    done;
-    (rate !n !best_on, rate !n !best_off)
-  in
-  let regir_rows =
-    List.map
-      (fun (name, (e : Workloads.Registry.entry)) ->
-        let on, off = live_pair ~natives:e.natives e.program in
-        let vm, _ = Vm.execute ~natives:e.natives ~seed:1 e.program in
-        let s = Vm.stats vm in
-        let frac =
-          float_of_int s.Vm.Rt.n_regir_instr /. float_of_int (max 1 s.n_instr)
-        in
-        let mon_frac =
-          float_of_int s.Vm.Rt.n_regir_mon
-          /. float_of_int (max 1 s.Vm.Rt.n_monitor_ops)
-        in
-        Fmt.pr
-          "regir %-20s on %.2f off %.2f Mi/s (%.2fx, %.0f%% covered, %.0f%% \
-           mon-in-region, %d inline)@."
-          name (on /. 1e6) (off /. 1e6)
-          (if on > 0. then on /. off else 0.)
-          (frac *. 100.) (mon_frac *. 100.) s.Vm.Rt.n_regir_inline;
-        (name, on, off, frac, mon_frac, s.Vm.Rt.n_regir_inline))
-      overhead_workloads
-  in
-  let geo f =
-    exp
-      (List.fold_left (fun acc r -> acc +. log (f r)) 0. regir_rows
-      /. float_of_int (List.length regir_rows))
-  in
-  (* isolated clock cost: a tight single-threaded loop with the virtual
-     clock compiled out vs on — (t_on - t_off) / instrs. The no-clock
-     mode is a bench-only probe; nothing observable runs under it. *)
-  let clock_ns =
-    let e = entry "primes" in
-    let noclock = { Vm.Rt.default_config with Vm.Rt.clock = false } in
-    let one ?config () =
-      time (fun () ->
-          let vm, _ = Vm.execute ?config ~natives:e.natives ~seed:1 e.program in
-          (Vm.stats vm).n_instr)
-    in
-    let b_on = ref infinity and b_off = ref infinity and n = ref 0 in
-    for _ = 1 to 5 do
-      let (i : int), t_on = one () in
-      let _, t_off = one ~config:noclock () in
-      n := i;
-      if t_on < !b_on then b_on := t_on;
-      if t_off < !b_off then b_off := t_off
-    done;
-    Float.max 0. ((!b_on -. !b_off) /. float_of_int (max 1 !n) *. 1e9)
-  in
-  Fmt.pr "regir clock cost: %.3f ns/instr (primes, clock on vs compiled out)@."
-    clock_ns;
-  Buffer.add_string buf "  \"regir\": {\n";
-  Buffer.add_string buf
-    (Fmt.str "    \"clock_ns_per_instr\": %.3f,\n" clock_ns);
-  List.iter
-    (fun (name, on, off, frac, mon_frac, inl) ->
-      Buffer.add_string buf
-        (Fmt.str
-           "    %S: { \"live_ips_off\": %.0f, \"speedup\": %.3f, \
-            \"coverage\": %.3f, \"mon_region_frac\": %.3f, \
-            \"inline_splices\": %d },\n"
-           name off
-           (if off > 0. then on /. off else 0.)
-           frac mon_frac inl))
-    regir_rows;
-  Buffer.add_string buf
-    (Fmt.str
-       "    \"geomean_speedup\": %.3f,\n    \"geomean_coverage\": %.3f\n  },\n"
-       (geo (fun (_, on, off, _, _, _) -> if off > 0. then on /. off else 1.))
-       (geo (fun (_, _, _, frac, _, _) -> Float.max frac 1e-9)));
-  (* schedule-exploration trajectory: throughput and DPOR efficiency of
-     the bounded DFS on the seeded atomicity bug (pb 2, db 1) *)
-  let ex_on, ex_t_on, ex_off, _, ex_t_first =
-    explore_measure (entry "atomicity")
-  in
-  Fmt.pr
-    "explore atomicity: %d schedules (%d pruned, %.0f%% cut), first fault in \
-     %.0f ms@."
-    ex_on.Explore.Driver.rp_explored ex_on.Explore.Driver.rp_pruned
-    (100. *. cut_ratio ex_on ex_off)
-    (ex_t_first *. 1e3);
-  Buffer.add_string buf
-    (Fmt.str
-       "  \"explore\": {\n\
-       \    \"workload\": \"atomicity\",\n\
-       \    \"pb\": 2,\n\
-       \    \"db\": 1,\n\
-       \    \"schedules\": %d,\n\
-       \    \"schedules_nodpor\": %d,\n\
-       \    \"pruned\": %d,\n\
-       \    \"schedules_per_s\": %.1f,\n\
-       \    \"pruned_ratio\": %.3f,\n\
-       \    \"first_failure_at\": %d,\n\
-       \    \"time_to_first_failure_ms\": %.2f\n\
-       \  },\n"
-       ex_on.Explore.Driver.rp_explored ex_off.Explore.Driver.rp_explored
-       ex_on.Explore.Driver.rp_pruned
-       (if ex_t_on > 0. then
-          float_of_int ex_on.Explore.Driver.rp_explored /. ex_t_on
-        else 0.)
-       (cut_ratio ex_on ex_off)
-       (match ex_on.Explore.Driver.rp_first_failure_at with
-       | Some k -> k
-       | None -> -1)
-       (ex_t_first *. 1e3));
-  Buffer.add_string buf
-    (Fmt.str
-       "  \"serve_load\": {\n\
-       \    \"shards\": 4,\n\
-       \    \"clients\": 3,\n\
-       \    \"offered_hz\": 400,\n\
-       \    \"jobs\": %d,\n\
-       \    \"done\": %d,\n\
-       \    \"jobs_per_s\": %.2f,\n\
-       \    \"p50_ms\": %.2f,\n\
-       \    \"p99_ms\": %.2f\n\
-       \  }\n\
-        }"
-       sv_total sv_done sv_jps sv_p50 sv_p99);
-  let point = Buffer.contents buf in
-  let oc = open_out json_out in
-  (match prior with
-  | None -> output_string oc (Fmt.str "[\n%s\n]\n" point)
-  | Some pts -> output_string oc (Fmt.str "[\n%s,\n%s\n]\n" pts point));
-  close_out oc;
-  Fmt.pr "appended point %d (pr %d) to %s@."
-    (match prior with None -> 1 | Some s -> count_points s + 1)
-    pr json_out
-
 (* -------------------------------------------------------------- driver *)
 
 let all : (string * string * (unit -> unit)) list =
@@ -1225,29 +804,29 @@ let all : (string * string * (unit -> unit)) list =
     ("E12", "replay farm batch throughput, cold vs warm", e12);
     ("E13", "sustained-load serving (open-loop clients)", e13);
     ("E14", "systematic schedule exploration (DPOR vs unpruned)", e14);
-    ("micro", "bechamel microbenches", micro);
     ("farm-smoke", "CI: sharded+warm aggregate digest equality", farm_smoke);
     ("regir-smoke",
      "CI: register vs stack tier trace/digest identity, clockless replay",
      regir_smoke);
-    ("--json", "write the BENCH_interp.json perf trajectory", json);
   ]
 
+(* No arguments runs every experiment but the two CI gates; any id not in
+   [all] is an error, before anything runs. *)
 let () =
   let want = match Array.to_list Sys.argv with _ :: rest -> rest | [] -> [] in
+  let ids = List.map (fun (id, _, _) -> id) all in
+  (match List.filter (fun w -> not (List.mem w ids)) want with
+  | [] -> ()
+  | unknown ->
+    Fmt.epr "unknown experiment %s; available: %s@." (String.concat " " unknown)
+      (String.concat " " ids);
+    exit 2);
   let selected =
     if want = [] then
       List.filter
-        (fun (id, _, _) ->
-          id <> "micro" && id <> "--json" && id <> "farm-smoke"
-          && id <> "regir-smoke")
+        (fun (id, _, _) -> id <> "farm-smoke" && id <> "regir-smoke")
         all
     else List.filter (fun (id, _, _) -> List.mem id want) all
   in
-  if selected = [] then begin
-    Fmt.epr "unknown experiment; available: %s@."
-      (String.concat " " (List.map (fun (id, _, _) -> id) all));
-    exit 2
-  end;
   Fmt.pr "DejaVu reproduction experiments (see DESIGN.md section 4)@.";
   List.iter (fun (_, _, f) -> f ()) selected

@@ -59,8 +59,6 @@ type t = {
   converged : bool;
   n_roots : int;
   summary_hash : string;
-  mhp_ms : float;  (* classification incl. MHP/alias pair tests *)
-  deadlock_ms : float;  (* lock-order graph + cycle search *)
 }
 
 (* --- summary hash: FNV-1a over the sorted classification lines --- *)
@@ -97,7 +95,6 @@ let build ?(name = "program") (p : Decl.program) : t =
            | _ -> false)
          a.Lockset.acc_base
   in
-  let t_mhp = Sys.time () in
   (* group accesses by field key, preserving harvest order *)
   let by_field : (string, Lockset.access list) Hashtbl.t = Hashtbl.create 32 in
   let field_order = ref [] in
@@ -232,7 +229,6 @@ let build ?(name = "program") (p : Decl.program) : t =
       field_order
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
-  let mhp_ms = (Sys.time () -. t_mhp) *. 1000. in
   (* allocation sites *)
   let racy_fields =
     List.filter_map
@@ -269,9 +265,7 @@ let build ?(name = "program") (p : Decl.program) : t =
              f_accesses = [];
            })
   in
-  let t_dl = Sys.time () in
   let deadlocks = Lockorder.detect mhp res in
-  let deadlock_ms = (Sys.time () -. t_dl) *. 1000. in
   let monitor_issues = Check.check_monitors p in
   let findings = field_findings @ site_findings in
   let summary_hash =
@@ -303,8 +297,6 @@ let build ?(name = "program") (p : Decl.program) : t =
     converged = res.Lockset.converged;
     n_roots;
     summary_hash;
-    mhp_ms;
-    deadlock_ms;
   }
 
 (* Just the audit fingerprint, for the trace header. *)

@@ -637,8 +637,9 @@ let dispatch (vm : Rt.t) (t : Rt.thread) pc ins =
    timer fire into the preemption bit. Guarded by [vm.clock_on], which is
    off in replay: a replayed run takes every clock value from the trace
    and switches threads on the logical clock alone, so nothing reads the
-   draws or the bit. The bench's no-clock mode ([cfg.clock = false])
-   turns it off in live runs to price the clock itself. *)
+   draws or the bit. [cfg.clock = false] turns it off in live runs too;
+   outside the tests its only setter is perfbench's layer split
+   ([perfbench/layers.ml]), which prices the clock as the difference. *)
 let clock_instr (vm : Rt.t) =
   if vm.clock_on then begin
     (* open-coded [Env.tick] fast path: strictly inside the precomputed

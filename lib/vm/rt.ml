@@ -436,9 +436,11 @@ and config = {
          so production configs leave it off *)
   clock : bool;
       (* advance the environment clock per instruction in live and record
-         runs ([Rt.t.clock_on] starts from it). The default is on; the
-         bench turns it off to price the clock itself. Replay never reads
-         the clock, so attaching a replayer switches it off regardless *)
+         runs ([Rt.t.clock_on] starts from it). The default is on. Outside
+         the tests, its only setter is perfbench's layer split
+         ([perfbench/layers.ml]), which turns it off to price the clock
+         itself. Replay never reads the clock, so attaching a replayer
+         switches it off regardless *)
   env_cfg : Env.config;
 }
 

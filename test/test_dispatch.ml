@@ -255,6 +255,32 @@ let test_regir_vs_stack_traces () =
         rep_s.Dejavu.state_digest rep_r.Dejavu.state_digest)
     (all ())
 
+(* [cfg.clock = false], the run perfbench times to price the clock, draws
+   nothing from the environment clock in either tier. A single-threaded
+   program, which no timer fire can reschedule, still runs the same
+   instructions to the same status and output. *)
+let test_clock_off_live () =
+  let e = Option.get (Workloads.Registry.find "primes") in
+  let vm, st = run ~natives:e.natives e.program in
+  Alcotest.(check int)
+    "clock on ticks every instruction" (Vm.stats vm).n_instr
+    vm.Vm.Rt.env.Vm.Env.ticks;
+  List.iter
+    (fun (tier, config) ->
+      let v, v_st =
+        run ~config:{ config with Vm.Rt.clock = false } ~natives:e.natives
+          e.program
+      in
+      Alcotest.check status_testable (tier ^ " status") st v_st;
+      Alcotest.(check string) (tier ^ " output") (Vm.output vm) (Vm.output v);
+      Alcotest.(check int)
+        (tier ^ " instruction count")
+        (Vm.stats vm).n_instr (Vm.stats v).n_instr;
+      Alcotest.(check int) (tier ^ " no ticks") 0 v.Vm.Rt.env.Vm.Env.ticks;
+      Alcotest.(check int)
+        (tier ^ " no timer fires") 0 v.Vm.Rt.env.Vm.Env.timer_fires)
+    [ ("register tier", Vm.Rt.default_config); ("stack tier", noregir) ]
+
 (* One virtual call site in a loop over receivers cycling through [k]
    classes: the site's inline cache transitions mono -> poly (k = 3) or
    mono -> poly -> megamorphic (k = 6) mid-run, and the transitions must
@@ -759,6 +785,7 @@ let () =
         [
           quick "register vs stack live" test_regir_vs_stack_live;
           quick "register vs stack traces" test_regir_vs_stack_traces;
+          quick "clock off draws nothing" test_clock_off_live;
           quick "poly-IC transition mid-trace" test_poly_ic_transition;
           quick "tiny callee inlined into region" test_tiny_callee_inlined;
           quick "inline sites splice whole callees" test_inline_sites_splice;

@@ -89,6 +89,33 @@ let test_atomicity_bug_found () =
           "witness decisions" first.Driver.fl_decisions
           (Driver.decisions_of_witness (read_file w)))
 
+(* [~stop_on_failure] ends the search at the first fault: the same
+   schedule as the full search's first fault, no schedule after it, and
+   the failures found so far as the full search's own prefix. *)
+let test_stop_on_first_fault () =
+  let e = find "atomicity" in
+  let full = Driver.run ~pb:2 ~db:1 e in
+  let stop = Driver.run ~pb:2 ~db:1 ~stop_on_failure:true e in
+  let k =
+    match full.Driver.rp_first_failure_at with
+    | Some k -> k
+    | None -> Alcotest.fail "no fault found"
+  in
+  Alcotest.(check (option int))
+    "same first fault" (Some k) stop.Driver.rp_first_failure_at;
+  Alcotest.(check int) "stopped at it" k stop.Driver.rp_explored;
+  Alcotest.(check bool)
+    "frontier left" true
+    (stop.Driver.rp_frontier_left > 0);
+  let digests (r : Driver.report) =
+    List.map (fun (f : Driver.failure) -> f.Driver.fl_digest) r.Driver.rp_failures
+  in
+  let n = List.length stop.Driver.rp_failures in
+  Alcotest.(check (list int))
+    "failures are the full search's prefix"
+    (List.filteri (fun i _ -> i < n) (digests full))
+    (digests stop)
+
 (* Re-running a schedule from its own full decision vector reproduces the
    same trace BYTE-IDENTICALLY — the schedule witness is a complete
    description of the run. *)
@@ -231,6 +258,7 @@ let () =
         [
           quick "bug found, trace replays" test_atomicity_bug_found;
           quick "re-record byte-identical" test_schedule_rerecord_byte_identical;
+          quick "stop on the first fault" test_stop_on_first_fault;
         ] );
       ( "dpor",
         [

@@ -415,6 +415,57 @@ let test_serve_end_to_end () =
       Alcotest.(check bool) "trace file written" true
         (Sys.file_exists (Filename.concat out_dir "fig1ab-0.trace")))
 
+(* Several clients connected at once: the server serves one conversation
+   at a time, so the others wait in the listen backlog, and each client
+   still gets exactly its own replies, in its own submission order. *)
+let test_serve_concurrent_clients () =
+  with_tmp_dir (fun out_dir ->
+      let socket_path = Filename.concat out_dir "dv.sock" in
+      let srv = Server.Serve.create ~shards:2 ~socket_path ~out_dir () in
+      let server_domain =
+        Domain.spawn (fun () -> Server.Serve.serve ~max_conns:3 srv)
+      in
+      let submit op w =
+        P.Submit
+          {
+            q_op = op;
+            q_workload = w;
+            q_seed = 1;
+            q_trace = "";
+            q_deadline_ms = 0;
+            q_max_retries = 0;
+          }
+      in
+      let mixes =
+        [
+          [ (P.Op_record, "fig1ab"); (P.Op_lint, "bank") ];
+          [ (P.Op_lint, "primes"); (P.Op_record, "racy-counter");
+            (P.Op_lint, "fig1cd") ];
+          [ (P.Op_record, "bank"); (P.Op_lint, "fig1ab") ];
+        ]
+      in
+      let clients =
+        List.map
+          (fun mix ->
+            Domain.spawn (fun () ->
+                Server.Serve.client_submit ~socket_path
+                  (List.map (fun (op, w) -> submit op w) mix)))
+          mixes
+      in
+      let replies = List.map Domain.join clients in
+      Domain.join server_domain;
+      Server.Serve.shutdown srv;
+      List.iter2
+        (fun mix rs ->
+          Alcotest.(check (list string))
+            "own workloads, in order" (List.map snd mix)
+            (List.map (fun r -> r.P.p_workload) rs);
+          List.iter
+            (fun r ->
+              Alcotest.(check int) (r.P.p_workload ^ " done") 0 r.P.p_outcome)
+            rs)
+        mixes replies)
+
 (* A conversation that dies on a malformed frame must not leave its results
    in the dispatcher's reorder buffer: the next connection's reply loop
    would otherwise pull the orphaned results as its own and every later
@@ -492,6 +543,7 @@ let () =
       ( "serve",
         [
           quick "end to end" test_serve_end_to_end;
+          quick "concurrent clients" test_serve_concurrent_clients;
           quick "poisoned conn isolated" test_serve_poisoned_conn_isolated;
         ] );
     ]
