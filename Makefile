@@ -41,13 +41,16 @@ bench-farm:
 regir-smoke:
 	dune exec bench/main.exe -- regir-smoke
 
-# Exploration gate: the bounded DPOR search must find the seeded
-# atomicity bug, and every emitted failure trace must replay through the
+# Exploration gate: the bounded DPOR search must find both seeded bugs —
+# the atomicity violation (check-then-act overdraft) and the lock-cycle
+# deadlock — and every emitted failure trace must replay through the
 # stock replayer to the identical status/output/state digest (exit 1
 # otherwise — --expect-failure inverts the usual success criterion).
 explore-smoke:
 	rm -rf _explore && dune exec bin/dvrun.exe -- explore atomicity \
 	  --out _explore --expect-failure
+	dune exec bin/dvrun.exe -- explore lock-cycle --out _explore \
+	  --expect-failure
 
 # Malformed-trace gate: record fig1ab, then make a half-length copy of the
 # trace and a copy with bytes appended. For each copy, `trace-dump` and

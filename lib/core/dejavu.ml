@@ -47,8 +47,8 @@ let seeded (config : Vm.Rt.config) seed =
    non-determinism being captured. [observe] attaches the event-sequence
    digest observer the roundtrip check compares. It installs no hook: the
    VM folds the digest itself, once per register-region segment and once
-   per stack-tier instruction, so the run stays on the fast loop and the
-   cost is a few multiplies per segment. Overhead measurements that want
+   per stack-tier instruction, so the run stays on the register tier and
+   the cost is a few multiplies per segment. Overhead measurements that want
    the recording instrumentation alone turn it off. *)
 let record ?(config = Vm.Rt.default_config) ?(natives = []) ?(inputs = [])
     ?(seed = 1) ?limit ?(observe = true) program : run * Trace.t =

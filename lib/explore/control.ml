@@ -28,9 +28,11 @@
    DPOR / sleep-set flavour pruning: the "preempt" alternative at a yield
    is enumerated only when the segment just executed — the instructions
    since the previous decision slot, all by one thread — was CONFLICTING:
-   it touched a static conflict site from the race audit's branch-point
-   oracle, or performed a monitor operation, allocation, GC, clock read,
-   input read, native call, spawn, or output. A non-conflicting segment
+   it executed a heap access at a static conflict site from the race
+   audit's branch-point oracle (probed from the heap-access hooks, so
+   explored schedules keep the register tier), or performed a monitor
+   operation, allocation, GC, clock read, input read, native call, spawn,
+   or output. A non-conflicting segment
    commutes with every concurrent action, so preempting after it reaches
    only states some other explored schedule (preempting before it, or the
    pick alternatives at the previous slot) already covers; the suppressed
@@ -82,17 +84,15 @@ let outcome_digest status output state =
 let decisions (oc : outcome) = Array.map (fun n -> n.nd_taken) oc.oc_log
 
 (* The segment-conflict counters: any delta since the segment began marks
-   the segment conflicting (see the header comment for why each matters). *)
+   the segment conflicting (see the header comment for why each matters).
+   Each only grows within a run, so their sum moves exactly when one of
+   them does. *)
 let counters (vm : Vm.Rt.t) =
   let s = vm.Vm.Rt.stats in
-  ( s.Vm.Rt.n_monitor_ops,
-    s.Vm.Rt.n_alloc_objects,
-    s.Vm.Rt.n_gc,
-    s.Vm.Rt.n_clock_reads,
-    s.Vm.Rt.n_input_reads,
-    s.Vm.Rt.n_native_calls,
-    vm.Vm.Rt.n_threads,
-    Buffer.length vm.Vm.Rt.output )
+  s.Vm.Rt.n_monitor_ops + s.Vm.Rt.n_alloc_objects + s.Vm.Rt.n_gc
+  + s.Vm.Rt.n_clock_reads + s.Vm.Rt.n_input_reads + s.Vm.Rt.n_native_calls
+  + vm.Vm.Rt.n_threads
+  + Buffer.length vm.Vm.Rt.output
 
 let run ?(config = Vm.Rt.default_config) ?(seed = 1) ?limit ?vm ?driver ~pb
     ~db ~dpor ~(oracle : Oracle.t) ~(prefix : int array)
@@ -111,21 +111,28 @@ let run ?(config = Vm.Rt.default_config) ?(seed = 1) ?limit ?vm ?driver ~pb
   (* conflict-site bitmaps, lazily resolved per method uid *)
   let bitmaps : (int, bool array) Hashtbl.t = Hashtbl.create 16 in
   let touched = ref false in
-  if oracle.Oracle.n_sites > 0 && not oracle.Oracle.time_sensitive then
-    vm.Vm.Rt.hooks.Vm.Rt.h_observe <-
-      Some
-        (fun vm _tid uid pc _tag ->
-          if not !touched then begin
-            let bm =
-              match Hashtbl.find_opt bitmaps uid with
-              | Some bm -> bm
-              | None ->
-                let bm = Oracle.bitmap oracle vm uid in
-                Hashtbl.add bitmaps uid bm;
-                bm
-            in
-            if pc < Array.length bm && bm.(pc) then touched := true
-          end);
+  if oracle.Oracle.n_sites > 0 && not oracle.Oracle.time_sensitive then begin
+    (* every conflict site is a field, static or array access, and both
+       tiers fire the heap-access hooks at exactly those instructions with
+       the canonical pc already stored in [t_pc] *)
+    let probe vm _addr _slot =
+      if not !touched then begin
+        let t = Vm.Rt.cur vm in
+        let uid = t.Vm.Rt.t_meth.Vm.Rt.uid and pc = t.Vm.Rt.t_pc in
+        let bm =
+          match Hashtbl.find_opt bitmaps uid with
+          | Some bm -> bm
+          | None ->
+            let bm = Oracle.bitmap oracle vm uid in
+            Hashtbl.add bitmaps uid bm;
+            bm
+        in
+        if pc < Array.length bm && bm.(pc) then touched := true
+      end
+    in
+    vm.Vm.Rt.hooks.Vm.Rt.h_heap_read <- Some probe;
+    vm.Vm.Rt.hooks.Vm.Rt.h_heap_write <- Some probe
+  end;
   let depth = ref 0 in
   let log = ref [] in
   let preempts = ref 0 in

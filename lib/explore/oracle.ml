@@ -6,8 +6,8 @@
    (site, field) "branch points" a systematic explorer must enumerate
    (Report.branch_points). This module turns those site strings
    ("Class.method:source-pc") into per-method bitmaps over *compiled* pcs,
-   so the controlled scheduler can ask, one array index per retired
-   instruction, "did this instruction touch a conflict site?".
+   so the controlled scheduler can ask, one array index per heap access,
+   "is this access at a conflict site?".
 
    The bitmap is resolved against a live VM because compiled pcs only
    exist after the JIT runs; [Rt.compiled.k_src_pc] maps them back to the
@@ -85,7 +85,7 @@ let for_entry (e : Workloads.Registry.entry) : t =
 (* Per-method conflict bitmap over compiled pcs, resolved against [vm]'s
    compiled tier for method [uid]. Returns [||] for uncompiled methods
    (the interpreter compiles on first call, so a method being executed is
-   always compiled by the time h_observe fires for it). *)
+   always compiled by the time a heap-access hook fires inside it). *)
 let bitmap (o : t) (vm : Vm.Rt.t) (uid : int) : bool array =
   let m = Vm.Rt.the_method vm uid in
   match m.Vm.Rt.rm_compiled with

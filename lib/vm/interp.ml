@@ -685,8 +685,8 @@ let clock_batch (vm : Rt.t) n =
    [executed] before its terminal runs, so the fuel guard in [chain] is
    strictly decreasing. Regions that end in a call or return never chain —
    those change the method, and [regions] indexes the current method only.
-   Only the fast loop dispatches regions (no per-instruction hooks can be
-   attached), and it has already checked that the first region's full
+   The dispatch loop enters regions only while no [h_instr] hook is
+   attached, and it has already checked that the first region's full
    instruction count fits in the remaining fuel.
 
    Frame slots are addressed through a cached absolute base into the heap
@@ -1064,39 +1064,42 @@ let exec (vm : Rt.t) =
   let ins = c.k_code.(pc) in
   vm.stats.n_instr <- vm.stats.n_instr + 1;
   (match vm.hooks.h_instr with Some f -> f vm | None -> ());
-  (match vm.hooks.h_observe with
-  | Some f -> f vm t.tid t.t_meth.uid pc (Rt.tag_of_cinstr ins)
-  | None -> ());
   if vm.ev_on then fold_event vm (Rt.ev_key_frame t.tid t.t_meth.uid) pc ins;
   clock_instr vm;
   dispatch vm t pc ins
 
-(* One step with exception conversion. *)
-let step (vm : Rt.t) =
-  try exec vm with
+(* Turn a fault raised while executing guest code into its guest-visible
+   effect: a Java exception thrown in the guest, or a fatal status.
+   Anything else (divergence signals etc.) propagates. *)
+let on_fault (vm : Rt.t) = function
   | Rt.Vm_exception name -> throw_by_name vm name
   | Heap.Out_of_memory -> vm.status <- Rt.Fatal "OutOfMemoryError"
   | Verify.Error msg -> vm.status <- Rt.Fatal ("verify: " ^ msg)
   | Compile.Error msg -> vm.status <- Rt.Fatal ("compile: " ^ msg)
   | Fatal msg -> vm.status <- Rt.Fatal msg
+  | e -> raise e
+
+(* One step with exception conversion. *)
+let step (vm : Rt.t) = try exec vm with e -> on_fault vm e
 
 (* The batched hot path: run up to [fuel] instructions before returning.
 
    The outer loop re-reads everything a dispatch segment depends on — the
-   current thread, its compiled body, and which hooks are attached — then a
-   tight inner loop dispatches until the segment dies: a call, return, or
-   unwind changes the method; a yield point or blocking operation switches
-   threads; the machine leaves Running_; or the fuel runs out. Yield points
-   that do NOT switch (the overwhelmingly common case: one per guest loop
-   iteration vs. one switch per scheduling quantum) stay inside the loop.
+   current thread, its compiled body, and whether [h_instr] is attached —
+   then a tight inner loop dispatches until the segment dies: a call,
+   return, or unwind changes the method; a yield point or blocking
+   operation switches threads; the machine leaves Running_; or the fuel
+   runs out. Yield points that do NOT switch (the overwhelmingly common
+   case: one per guest loop iteration vs. one switch per scheduling
+   quantum) stay inside the loop.
 
    [n_instr] is committed in one batched store per call, including the
    faulting instruction when an exception unwinds (same accounting as the
-   one-at-a-time path). The segment loop is specialized once per segment for
-   the case with no per-instruction hook ([h_observe], [h_instr]; the event
-   digest is not one) — attaching or detaching those hooks takes effect at
-   the next segment boundary, never mid-segment (all stock instrumentation
-   attaches before the run starts). *)
+   one-at-a-time path). [h_instr] is the only per-instruction hook: while
+   it is attached the loop enters no register region and calls it before
+   each instruction, as [exec] does. Attaching or detaching it takes
+   effect at the next segment boundary, never mid-segment (all stock
+   instrumentation attaches before the run starts). *)
 let exec_batch (vm : Rt.t) ~fuel =
   let executed = ref 0 in
   (* [executed] at the entry of the region running now, -1 outside one:
@@ -1118,80 +1121,40 @@ let exec_batch (vm : Rt.t) ~fuel =
       let comp = Rt.compiled meth in
       let code = comp.k_code in
       let kf = if vm.ev_on then Rt.ev_key_frame tid meth.uid else 0 in
-      match (vm.hooks.h_instr, vm.hooks.h_observe) with
-      | None, None ->
-        (* fast loop: a register region when one starts at this pc and
-           fits in the remaining fuel, else one canonical instruction —
-           fetch, clock, dispatch, and the event-digest fold when it is
-           on. Mid-region pcs (a return continuation, a fuel-limited tail)
-           run here one at a time. *)
-        let regions = comp.k_regions in
-        let live = ref true in
-        while !live do
-          let pc = t.t_pc in
-          (match Array.unsafe_get regions pc with
-          | Some r when fuel - !executed >= r.Rt.r_n ->
-            region_mark := !executed;
-            exec_region vm t r regions ~fuel ~depth:0 executed;
-            vm.stats.n_regir_instr <-
-              vm.stats.n_regir_instr + (!executed - !region_mark);
-            region_mark := -1
-          | _ ->
-            incr executed;
-            let ins = code.(pc) in
-            if vm.ev_on then fold_event vm kf pc ins;
-            clock_instr vm;
-            dispatch vm t pc ins);
-          if
-            vm.current <> tid || t.t_meth != meth
-            || vm.status <> Rt.Running_ || !executed >= fuel
-          then live := false
-        done
-      | hi, ho ->
-        (* observed loop: identical event sequence to the one-at-a-time
-           path — hooks fire per instruction, in the same order. The hook
-           closures and the segment-constant event fields are hoisted; a
-           hook attached mid-segment is seen at the next boundary. *)
-        let otid = t.tid and ouid = meth.uid in
-        let live = ref true in
-        while !live do
-          let pc = t.t_pc in
-          let ins = code.(pc) in
+      let hi = vm.hooks.h_instr in
+      (* a register region when one starts at this pc, fits in the
+         remaining fuel and no [h_instr] is attached; else one canonical
+         instruction — [h_instr], fetch, the event-digest fold when it is
+         on, clock, dispatch. Mid-region pcs (a return continuation, a
+         fuel-limited tail) run here one at a time. *)
+      let regions = comp.k_regions in
+      let live = ref true in
+      while !live do
+        let pc = t.t_pc in
+        (match Array.unsafe_get regions pc with
+        | Some r when hi == None && fuel - !executed >= r.Rt.r_n ->
+          region_mark := !executed;
+          exec_region vm t r regions ~fuel ~depth:0 executed;
+          vm.stats.n_regir_instr <-
+            vm.stats.n_regir_instr + (!executed - !region_mark);
+          region_mark := -1
+        | _ ->
           incr executed;
           (match hi with Some f -> f vm | None -> ());
-          (match ho with
-          | Some f -> f vm otid ouid pc (Rt.tag_of_cinstr ins)
-          | None -> ());
+          let ins = code.(pc) in
           if vm.ev_on then fold_event vm kf pc ins;
           clock_instr vm;
-          dispatch vm t pc ins;
-          if
-            vm.current <> tid || t.t_meth != meth
-            || vm.status <> Rt.Running_ || !executed >= fuel
-          then live := false
-        done
+          dispatch vm t pc ins);
+        if
+          vm.current <> tid || t.t_meth != meth
+          || vm.status <> Rt.Running_ || !executed >= fuel
+        then live := false
+      done
     done;
     commit ()
-  with
-  | Rt.Vm_exception name ->
+  with e ->
     commit ();
-    throw_by_name vm name
-  | Heap.Out_of_memory ->
-    commit ();
-    vm.status <- Rt.Fatal "OutOfMemoryError"
-  | Verify.Error msg ->
-    commit ();
-    vm.status <- Rt.Fatal ("verify: " ^ msg)
-  | Compile.Error msg ->
-    commit ();
-    vm.status <- Rt.Fatal ("compile: " ^ msg)
-  | Fatal msg ->
-    commit ();
-    vm.status <- Rt.Fatal msg
-  | e ->
-    (* divergence signals etc.: keep the count exact, let it propagate *)
-    commit ();
-    raise e
+    on_fault vm e
 
 (* Create the main thread and queue main-class initialization. *)
 let boot (vm : Rt.t) =

@@ -3,16 +3,17 @@
     unwinding, and the yield-point hook through which all thread switching
     happens. See the implementation header for the GC invariants.
 
-    Two tiers execute the same canonical [Rt.compiled.k_code]. The fast
-    loop (no per-instruction hook attached) enters a register-IR region
-    ([Rt.compiled.k_regions]) wherever one starts and fits in the
-    remaining fuel; its segments batch their clock ticks through
-    [Env.tick_batch] and their event-digest folds through the constants
-    in [Rt.RTick], while preserving instruction counts, PRNG draws, stack
+    Two tiers execute the same canonical [Rt.compiled.k_code]. Unless the
+    per-instruction hook [h_instr] is attached, the dispatch loop enters a
+    register-IR region ([Rt.compiled.k_regions]) wherever one starts and
+    fits in the remaining fuel; its segments batch their clock ticks
+    through [Env.tick_batch] and their event-digest folds through the
+    constants in [Rt.RTick], while preserving instruction counts, PRNG draws, stack
     writes, fault points, and the event digest bit-for-bit ({e the parity
     contract}, DESIGN.md section 7). Every other pc — and every
-    instruction of the observed loop and the single-step [step] path —
-    runs on the stack tier, one canonical [dispatch] at a time. *)
+    instruction run while [h_instr] is attached or through the
+    single-step [step] path — runs on the stack tier, one canonical
+    [dispatch] at a time. *)
 
 exception Fatal of string
 

@@ -12,9 +12,9 @@
    The digesting observer installs no hook: it switches on the VM-resident
    digest ([Rt.t.ev_on]), which the interpreter folds itself — per
    instruction on the stack tier, per segment inside register regions —
-   so a digested run keeps the fast loop. The collecting observer needs
-   every event in hand and therefore hooks [h_observe], which selects the
-   per-instruction observed loop. *)
+   so a digested run keeps the register tier. The collecting observer
+   needs every event in hand and therefore hooks [h_instr], reading the
+   event off the current thread; that keeps its run on the stack tier. *)
 
 type collector = {
   col_evs : Rt.obs list ref; (* reversed kept events *)
@@ -45,9 +45,12 @@ let attach_collect ?(max_events = 2_000_000) (vm : Rt.t) =
       col_dropped = ref 0;
     }
   in
-  vm.hooks.h_observe <-
+  vm.hooks.h_instr <-
     Some
-      (fun _vm tid uid pc tag ->
+      (fun vm ->
+        let t = Rt.cur vm in
+        let tid = t.tid and uid = t.t_meth.uid and pc = t.t_pc in
+        let tag = Rt.tag_of_cinstr (Rt.compiled t.t_meth).k_code.(pc) in
         incr c.col_n;
         c.col_hash :=
           Rt.ev_fold !(c.col_hash) (Rt.ev_key_frame tid uid) pc tag;
@@ -59,7 +62,7 @@ let attach_collect ?(max_events = 2_000_000) (vm : Rt.t) =
   Collecting c
 
 let detach (vm : Rt.t) =
-  vm.hooks.h_observe <- None;
+  vm.hooks.h_instr <- None;
   vm.ev_on <- false
 
 let digest = function

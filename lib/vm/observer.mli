@@ -8,9 +8,9 @@
     the VM-resident digest, which the interpreter folds per instruction on
     the stack tier and once per segment inside register regions, so a
     digested run (every [Dejavu.record]/[replay] by default) keeps the
-    fast loop. The collecting observer hooks [h_observe] and so runs the
-    per-instruction observed loop; its digest equals the digesting one's
-    for the same run. *)
+    register tier. The collecting observer hooks [h_instr], which keeps
+    its run on the stack tier; its digest equals the digesting one's for
+    the same run. *)
 
 type t
 
@@ -23,7 +23,7 @@ val attach_digest : Rt.t -> t
     and [dropped] reports how many events were not kept. *)
 val attach_collect : ?max_events:int -> Rt.t -> t
 
-(** Detach both kinds: clear [h_observe] and switch the VM-resident
+(** Detach both kinds: clear [h_instr] and switch the VM-resident
     digest off (its value stays readable; its [count] does not freeze,
     see below). *)
 val detach : Rt.t -> unit

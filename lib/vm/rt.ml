@@ -397,14 +397,12 @@ and hooks = {
   mutable h_clock : t -> clock_reason -> int;
   mutable h_input : t -> int;
   mutable h_native : t -> native -> int array -> native_outcome;
-  mutable h_observe : (t -> int -> int -> int -> int -> unit) option;
-      (* tid, method uid, pc, instruction tag — unboxed so the hot loop
-         never allocates an event record; Observer builds [obs] values
-         only when it keeps them *)
   mutable h_heap_read : (t -> int -> int -> unit) option; (* addr, slot *)
   mutable h_heap_write : (t -> int -> int -> unit) option;
   mutable h_switch : (t -> int -> int -> unit) option; (* from tid, to tid *)
-  mutable h_instr : (t -> unit) option; (* per instruction retired *)
+  mutable h_instr : (t -> unit) option;
+      (* per instruction, before it runs; while set, every instruction
+         runs on the stack tier (no register region is entered) *)
   mutable h_pick : (t -> int -> int) option;
       (* dispatch override: given the scheduler's FIFO choice, return the
          tid that must run instead (must be Ready). Used by replay schemes
@@ -488,8 +486,8 @@ and t = {
   hooks : hooks;
   stats : stats;
   (* the event digest ([Observer.attach_digest]): one fold per executed
-     instruction, kept in the VM rather than an [h_observe] closure so the
-     fast loop and register regions stay selected while it runs *)
+     instruction, kept in the VM rather than an [h_instr] closure so
+     register regions stay selected while it runs *)
   mutable ev_on : bool;
   mutable ev_h : int;
   (* the per-instruction virtual clock ([Interp.clock_instr]/[clock_batch]):

@@ -60,7 +60,6 @@ let live_hooks () : Rt.hooks =
         | Rt.Capp | Rt.Csched -> Env.read_clock vm.Rt.env);
     h_input = (fun vm -> Env.read_input vm.Rt.env);
     h_native = (fun vm nat args -> nat.Rt.nat_fn vm args);
-    h_observe = None;
     h_heap_read = None;
     h_heap_write = None;
     h_switch = None;
@@ -86,7 +85,6 @@ let install_live_hooks (vm : Rt.t) =
   hk.h_clock <- h.h_clock;
   hk.h_input <- h.h_input;
   hk.h_native <- h.h_native;
-  hk.h_observe <- None;
   hk.h_heap_read <- None;
   hk.h_heap_write <- None;
   hk.h_switch <- None;

@@ -1,10 +1,11 @@
-(* Dispatch-loop specialization checks: the interpreter picks a fast loop
-   when no per-instruction hook is attached and an observed loop when one
-   is, and the two must be semantically indistinguishable — same outputs,
-   same state digests, same recorded traces, same event sequences. The
-   event digest itself runs in the fast loop (folded per region segment),
-   so its parity with the collecting observer's per-event fold is checked
-   here too. *)
+(* Dispatch checks: the interpreter enters register regions when no
+   per-instruction hook is attached and runs every instruction on the
+   stack tier while [h_instr] is (the "observed" runs below, driven by the
+   collecting observer), and the two must be semantically
+   indistinguishable — same outputs, same state digests, same recorded
+   traces, same event sequences. The event digest itself runs on the
+   register tier (folded per region segment), so its parity with the
+   collecting observer's per-event fold is checked here too. *)
 
 open Tutil
 
@@ -17,8 +18,8 @@ let seeded seed =
   }
 
 (* Live run with an observer attached before booting: the event digest
-   (fast loop) or, given [max_events], a collecting observer (observed
-   loop). *)
+   (register tier) or, given [max_events], a collecting observer (an
+   [h_instr] hook, so stack tier only). *)
 let run_observed ?config ?max_events ~natives ~seed program =
   let config = match config with Some c -> c | None -> seeded seed in
   let vm = Vm.create ~config ~natives program in
@@ -30,9 +31,9 @@ let run_observed ?config ?max_events ~natives ~seed program =
   ignore (Vm.run vm);
   (vm, obs)
 
-(* Record or replay on the observed loop: a collecting observer that
-   keeps nothing still hooks [h_observe], so every instruction runs through
-   the per-instruction loop, as explore's conflict-site probes do. *)
+(* Record or replay observed: a collecting observer that keeps nothing
+   still hooks [h_instr], so every instruction runs one at a time on the
+   stack tier with a hook call before it. *)
 let record_observed ~natives ~seed program =
   let vm = Vm.create ~config:(seeded seed) ~natives program in
   let session = Dejavu.Recorder.attach vm in
@@ -47,13 +48,13 @@ let replay_observed ~natives program trace =
   ignore (Vm.run vm);
   (vm, obs, Dejavu.Replayer.check_complete session)
 
-(* Fast loop vs observed loop: a hook that only reads events must not
+(* Register tier vs observed: a hook that only reads events must not
    change the execution it observes. The event digest is one fold however
-   it is driven — per region segment in the fast loop, per instruction in
-   the observed loop (collecting observer), per instruction on the stack
-   tier alone ([regir = false]), and across many tiny slices that end
-   regions early — so every leg must also give the same digest and count,
-   and the count is the instruction count. *)
+   it is driven — per region segment on the register tier, per
+   instruction under the collecting observer's [h_instr], per instruction
+   on the stack tier alone ([regir = false]), and across many tiny slices
+   that end regions early — so every leg must also give the same digest
+   and count, and the count is the instruction count. *)
 let test_fast_vs_observed_live () =
   List.iter
     (fun (e : Workloads.Registry.entry) ->
@@ -104,15 +105,15 @@ let test_fast_vs_observed_live () =
               ("7-instruction slices", slice_vm, slice);
             ];
           Alcotest.(check bool)
-            (ctx "fast loop ran regions")
+            (ctx "unhooked run ran regions")
             true
             ((Vm.stats fast_vm).n_regir_instr > 0))
         [ 1; 3 ])
     (all ())
 
-(* Record/replay with the event digest (fast loop, register regions) and
-   on the observed loop: each roundtrip's event digests must agree, and
-   the two roundtrips must see the same events. *)
+(* Record/replay with the event digest (register regions) and observed
+   (collecting observer, stack tier): each roundtrip's event digests must
+   agree, and the two roundtrips must see the same events. *)
 let test_roundtrip_digests_observed () =
   List.iter
     (fun (e : Workloads.Registry.entry) ->
@@ -127,7 +128,7 @@ let test_roundtrip_digests_observed () =
       let rep_vm, rep_obs, leftovers =
         replay_observed ~natives:e.natives e.program trace
       in
-      let ctx what = e.name ^ " observed loop " ^ what in
+      let ctx what = e.name ^ " observed " ^ what in
       Alcotest.(check (list string)) (ctx "trace consumed") [] leftovers;
       Alcotest.check status_testable (ctx "status") (Vm.status rec_vm)
         (Vm.status rep_vm);
@@ -144,9 +145,9 @@ let test_roundtrip_digests_observed () =
         rt.recorded.obs_digest (Vm.Observer.digest rec_obs))
     (all ())
 
-(* Cross-loop recording: a trace recorded under the fast loop (no
-   observer), one recorded with the event digest (fast loop too), and one
-   recorded under the observed loop must be byte-identical, and replaying
+(* Cross-tier recording: a trace recorded with no observer, one recorded
+   with the event digest (both on the register tier), and one recorded
+   observed (stack tier) must be byte-identical, and replaying
    the observer-free trace with the digest on must reproduce the observed
    recording's event digest. *)
 let test_fast_recorded_trace_matches () =
@@ -163,7 +164,7 @@ let test_fast_recorded_trace_matches () =
       in
       let fast_bytes = Dejavu.Trace.to_bytes fast_trace in
       Alcotest.(check string)
-        (e.name ^ " trace bytes vs observed loop")
+        (e.name ^ " trace bytes vs observed")
         (Dejavu.Trace.to_bytes obs_trace)
         fast_bytes;
       Alcotest.(check string)

@@ -147,7 +147,7 @@ let test_schedule_rerecord_byte_identical () =
    branches only ever cut schedules equivalent to one still explored —
    while exploring at most half the schedules (the acceptance bar; in
    practice far fewer). Pinned on the two seeded-bug workloads. *)
-let dpor_pin (e : Workloads.Registry.entry) () =
+let dpor_pin ?max_explored (e : Workloads.Registry.entry) () =
   let budget = 4000 in
   let on = Driver.run ~pb:2 ~db:1 ~dpor:true ~max_schedules:budget e in
   let off = Driver.run ~pb:2 ~db:1 ~dpor:false ~max_schedules:budget e in
@@ -160,11 +160,41 @@ let dpor_pin (e : Workloads.Registry.entry) () =
        off.Driver.rp_explored)
     true
     (2 * on.Driver.rp_explored <= off.Driver.rp_explored);
+  (match max_explored with
+  | Some m ->
+    Alcotest.(check bool)
+      (Fmt.str "pruned %d <= %d" on.Driver.rp_explored m)
+      true
+      (on.Driver.rp_explored <= m)
+  | None -> ());
   Alcotest.(check bool) "something was pruned" true (on.Driver.rp_pruned > 0)
 
-let test_dpor_atomicity = dpor_pin (find "atomicity")
+(* The probe counts a segment as touching a conflict site only when it
+   executes a heap access there: [withdraw]'s prologue yield, which shares
+   source pc 0 with its [getstatic balance], touches no heap, so the
+   segment ending at it commutes and its preempt branch is pruned. *)
+let test_dpor_atomicity = dpor_pin ~max_explored:10 (find "atomicity")
 
 let test_dpor_lock_cycle = dpor_pin lock_cycle_small
+
+(* The conflict probe rides the heap-access hooks, which both tiers fire,
+   so an explored schedule keeps the register tier: racy-counter's root
+   schedule, whose oracle has conflict sites and is not time-sensitive,
+   must retire at least 90% of its instructions inside register regions. *)
+let test_explore_on_register_tier () =
+  let e = find "racy-counter" in
+  let oracle = Oracle.for_entry e in
+  Alcotest.(check bool)
+    "probe installed" true
+    (oracle.Oracle.n_sites > 0 && not oracle.Oracle.time_sensitive);
+  let vm = Vm.create ~natives:e.natives e.program in
+  let oc = Control.run ~vm ~pb:2 ~db:1 ~dpor:true ~oracle ~prefix:[||] e in
+  Alcotest.(check bool) "not aborted" false oc.Control.oc_aborted;
+  let s = Vm.stats vm in
+  let frac = float s.Vm.Rt.n_regir_instr /. float s.Vm.Rt.n_instr in
+  Alcotest.(check bool)
+    (Fmt.str "register-tier share %.3f >= 0.9" frac)
+    true (frac >= 0.9)
 
 (* --- determinism ------------------------------------------------------- *)
 
@@ -264,6 +294,8 @@ let () =
         [
           quick "soundness pin: atomicity" test_dpor_atomicity;
           quick "soundness pin: lock-cycle" test_dpor_lock_cycle;
+          quick "explored schedules run on the register tier"
+            test_explore_on_register_tier;
         ] );
       ( "determinism",
         [

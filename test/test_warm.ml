@@ -287,6 +287,73 @@ let test_replay_then_record () =
       Alcotest.(check int)
         "every record was a reset" (List.length (all ())) s.Server.Warm.w_hits)
 
+(* An explore job installs the conflict probe on the slot's heap-access
+   hooks; the reset before the next job must take them off. For each
+   workload whose oracle installs the probe, an Explore job (root
+   schedule) followed by a Record job on the same warm shard must record
+   exactly what a cold [record_to] records, and a slot reset after a
+   controlled run carries no heap-access hook. The list leaves out the
+   probed workloads whose root schedule has thousands of decision slots
+   (racy-counter, synced-counter, parsum, gc-churn, mergesort): an
+   Explore job copies one prefix per fresh slot into its children, which
+   there costs seconds and gigabytes. *)
+let probed =
+  [ "fig1ab"; "producer-consumer"; "philosophers"; "bank"; "barrier";
+    "rwlock"; "ring"; "webserver"; "lock-cycle"; "atomicity" ]
+
+let test_explore_then_record () =
+  with_tmp_dir (fun dir ->
+      let r = Server.Job.runner ~shards:1 () in
+      let pool = Server.Warm.create ~cap:1 () in
+      let cold_path = Filename.concat dir "cold.trace" in
+      let warm_path = Filename.concat dir "warm.trace" in
+      List.iter
+        (fun name ->
+          let e = find name in
+          let ctx = e.name ^ ": " in
+          let oracle = Explore.Oracle.for_entry e in
+          Alcotest.(check bool)
+            (ctx ^ "probe installed")
+            true
+            (oracle.Explore.Oracle.n_sites > 0
+            && not oracle.Explore.Oracle.time_sensitive);
+          let cold, _ =
+            Dejavu.record_to ~natives:e.natives ~seed:1 ~path:cold_path
+              e.program
+          in
+          ignore
+            (r.Server.Job.run noctx
+               (Server.Job.Explore
+                  { workload = e.name; seed = 1; prefix = [||]; pb = 2; db = 1;
+                    dpor = true }));
+          let o =
+            r.Server.Job.run noctx
+              (Server.Job.Record { workload = e.name; seed = 1; out = warm_path })
+          in
+          Alcotest.(check bool)
+            (ctx ^ "trace bytes equal cold")
+            true
+            (String.equal (read_file cold_path) (read_file warm_path));
+          Alcotest.(check string)
+            (ctx ^ "status") (Vm.string_of_status cold.Dejavu.status)
+            o.Server.Job.o_status;
+          (* the same on a pool slot driven directly *)
+          let vm = Server.Warm.acquire pool e ~seed:1 in
+          ignore
+            (Explore.Control.run ~vm ~pb:2 ~db:1 ~dpor:true ~oracle
+               ~prefix:[||] e);
+          let vm' = Server.Warm.acquire pool e ~seed:1 in
+          Alcotest.(check bool) (ctx ^ "same slot") true (vm == vm');
+          Alcotest.(check bool)
+            (ctx ^ "reset drops the heap-access hooks")
+            true
+            (Option.is_none vm.Vm.Rt.hooks.Vm.Rt.h_heap_read
+            && Option.is_none vm.Vm.Rt.hooks.Vm.Rt.h_heap_write))
+        probed;
+      let s = r.Server.Job.warm_stats () in
+      Alcotest.(check int)
+        "every record was a reset" (List.length probed) s.Server.Warm.w_hits)
+
 (* A job abandoned mid-run (cancelled at a poll point) leaves its pool VM
    mid-program; the next acquire must still produce a cold-identical
    record. *)
@@ -501,6 +568,7 @@ let () =
           quick "registry-wide warm = cold" test_warm_cold_identity_registry;
           quick "after a cancelled job" test_warm_after_cancelled_job;
           quick "replay then reset then record" test_replay_then_record;
+          quick "explore then record" test_explore_then_record;
         ] );
       ("placement", [ quick "policy" test_placement_policy ]);
       ( "dispatcher",
